@@ -16,7 +16,13 @@ from pathlib import Path
 from .bitsets import elements_of, mask_of
 from .classifiers import classify_ideal
 from .core import HyperRing, HyperRingError, classify_ring
-from .construct import direct_product, fundamental_ring, matrix_hyperring, quotient
+from .construct import (
+    DEFAULT_GAMMA_CAP,
+    direct_product,
+    fundamental_ring,
+    matrix_hyperring,
+    quotient,
+)
 from .corpus import CorpusSpec, generate_corpus, save_corpus
 from .ideals import enumerate_hyperideals
 from .io import FileFormatError, load_ring, ring_to_obj
@@ -250,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("other", nargs="?", help="second ring file for products")
     p.add_argument("--ideal", help="comma-separated ideal elements (quotient)")
     p.add_argument("--n", type=int, default=2, help="matrix dimension")
-    p.add_argument("--gamma-cap", type=int, default=10)
+    p.add_argument("--gamma-cap", type=int, default=DEFAULT_GAMMA_CAP)
     p.add_argument("--out", help="write the result here instead of stdout")
     p.set_defaults(fn=_cmd_construct)
 

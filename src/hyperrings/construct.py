@@ -1,6 +1,12 @@
 """Derived hyperrings: quotients, direct products, matrix structures,
 subring restrictions, good homomorphisms, and the fundamental ordinary-ring
-quotient by the transitive closure of the co-membership relation.
+quotient R/γ*.
+
+γ* is the smallest equivalence whose quotient is an ordinary ring
+(Vougiouklis, "The fundamental relation in hyperrings", 1991; Davvaz &
+Leoreanu-Fotea, *Hyperring Theory and Applications*, 2007).  It is built
+here as a congruence closure with union-find, not by listing the finite
+sums of finite products that define it.
 
 Every construction revalidates its output tables; nothing well-definedness
 related is assumed.  The matrix construction is the single place allowed to
@@ -23,11 +29,7 @@ from .core import (
     set_sum,
     validate_hyperring,
 )
-from .ideals import (
-    DEFAULT_ENUMERATION_CAP,
-    is_hyperideal,
-    product_family,
-)
+from .ideals import DEFAULT_ENUMERATION_CAP, is_hyperideal
 
 DEFAULT_GAMMA_CAP = 10
 
@@ -486,13 +488,16 @@ class UnionFind:
             self.parent[i], i = root, self.parent[i]
         return root
 
-    def union(self, i: int, j: int) -> None:
+    def union(self, i: int, j: int) -> bool:
+        """Merge the classes of i and j; True iff they were distinct."""
         ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            # deterministic: smaller index wins as representative
-            if ri > rj:
-                ri, rj = rj, ri
-            self.parent[rj] = ri
+        if ri == rj:
+            return False
+        # deterministic: smaller index wins as representative
+        if ri > rj:
+            ri, rj = rj, ri
+        self.parent[rj] = ri
+        return True
 
 
 @dataclass(frozen=True)
@@ -588,38 +593,55 @@ class FundamentalRingImage:
         return out
 
 
-def _sum_closure(ring: HyperRing) -> list[int]:
-    """All finite sums of finite products of elements, as subset masks."""
-    prods = product_family(ring)
-    seen: set[int] = set(prods)
-    work = list(prods)
-    while work:
-        u = work.pop()
-        for p in prods:
-            s = set_sum(ring, u, p)
-            if s not in seen:
-                seen.add(s)
-                work.append(s)
-    return sorted(seen)
+def _gamma_star(ring: HyperRing) -> UnionFind:
+    """γ* as a congruence closure.
+
+    Co-members of every hyperproduct cell start in one class.  Then, until a
+    pass makes no union, each element x is tied to its class root r through
+    every c: ``x+c ~ r+c`` and ``x∘c ~ r∘c`` (and ``c∘x ~ c∘r`` on a
+    non-commutative carrier), where a cell stands for any of its members.
+    """
+    n = ring.size
+    uf = UnionFind(n)
+    for row in ring.hmul:
+        for cell in row:
+            members = elements_of(cell)
+            for other in members[1:]:
+                uf.union(members[0], other)
+    # each cell lies in one class, so its least member represents it
+    rep = [[(cell & -cell).bit_length() - 1 for cell in row] for row in ring.hmul]
+    changed = True
+    while changed:
+        changed = False
+        for x in range(n):
+            r = uf.find(x)
+            if r == x:
+                continue
+            for c in range(n):
+                changed |= uf.union(ring.add[x][c], ring.add[r][c])
+                changed |= uf.union(rep[x][c], rep[r][c])
+                if not ring.commutative:
+                    changed |= uf.union(rep[c][x], rep[c][r])
+    return uf
 
 
 def fundamental_ring(ring: HyperRing,
                      gamma_cap: int = DEFAULT_GAMMA_CAP) -> FundamentalRingImage:
-    """Quotient by the smallest equivalence relating co-members of any
-    finite sum of finite products; the result is an ordinary ring.
+    """Quotient by γ*, the smallest equivalence whose quotient is an
+    ordinary ring.
 
-    Elements sharing such a set are related; the transitive closure is
-    taken with union-find.  Both lifted operations are verified to be
+    γ* is the transitive closure of "co-members of a finite sum of finite
+    products".  It equals the smallest equivalence that puts every
+    hyperproduct inside one class and is compatible with addition and, on
+    both sides, with the hyperoperation (Vougiouklis 1991); that congruence
+    closure is what is computed.  Both lifted operations are verified to be
     single-valued on classes, and the resulting tables are checked against
-    all ordinary commutative-ring axioms.
+    all ordinary commutative-ring axioms.  ``gamma_cap`` bounds the carrier
+    size.
     """
     if ring.size > gamma_cap:
         raise CapExceeded("carrier size", ring.size, gamma_cap)
-    uf = UnionFind(ring.size)
-    for u in _sum_closure(ring):
-        members = elements_of(u)
-        for other in members[1:]:
-            uf.union(members[0], other)
+    uf = _gamma_star(ring)
     roots = sorted(set(uf.find(x) for x in range(ring.size)))
     index = {r: i for i, r in enumerate(roots)}
     proj = tuple(index[uf.find(x)] for x in range(ring.size))

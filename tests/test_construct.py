@@ -1,10 +1,18 @@
 """Quotients, products, matrix structures, homomorphisms, subrings and the
 fundamental ordinary-ring quotient."""
 
+import itertools
+
 import pytest
 
 from hyperrings.bitsets import elements_of, is_subset, mask_of, singleton
-from hyperrings.core import CapExceeded
+from hyperrings.core import (
+    AxiomViolation,
+    CapExceeded,
+    HyperRing,
+    set_sum,
+    validate_hyperring,
+)
 from hyperrings.corpus import ordinary_ring
 from hyperrings.construct import (
     NotAdditive,
@@ -26,7 +34,7 @@ from hyperrings.construct import (
     subhyperring_restrict,
     verify_ordinary_ring,
 )
-from hyperrings.ideals import hyperideal_masks, is_hyperideal
+from hyperrings.ideals import hyperideal_masks, is_hyperideal, product_family
 
 
 class TestQuotient:
@@ -213,6 +221,77 @@ class TestFundamentalRing:
         fund = fundamental_ring(z6a)
         assert fund.image_mask(mask_of([0, 2, 4])) == mask_of([0])
         assert fund.image_mask(mask_of([1])) == mask_of([1])
+
+    def test_matches_sum_of_products_oracle(self, default_corpus):
+        checked = 0
+        for ring in default_corpus.rings:
+            if ring.size > 10:
+                continue
+            assert fundamental_ring(ring).projection == _oracle_projection(ring), \
+                ring.name
+            checked += 1
+        assert checked >= 60
+
+    def test_non_commutative_quotient_is_rejected(self, z2):
+        # M2(Z2) has singleton products, so γ* is trivial and the quotient is
+        # the non-commutative matrix ring itself
+        with pytest.raises(AxiomViolation) as exc:
+            fundamental_ring(matrix_hyperring(z2, 2), gamma_cap=16)
+        assert exc.value.axiom == "ring-mul-commutative"
+
+    @pytest.mark.parametrize("a_set, classes", [
+        (((1, 0, 0), (1, 0, 1)), 2),
+        (((1, 0, 1), (1, 1, 1)), 4),
+    ])
+    def test_non_commutative_carrier_matches_oracle(self, a_set, classes):
+        ring = _triangular_z2_with_products(a_set)
+        assert not ring.commutative
+        fund = fundamental_ring(ring)
+        assert fund.ring.size == classes
+        assert fund.projection == _oracle_projection(ring)
+
+
+def _triangular_z2_with_products(a_set) -> HyperRing:
+    """Upper-triangular 2x2 matrices (a, b, c) = [[a, b], [0, c]] over Z2
+    with ``x o y = {x e y : e in a_set}``, a non-commutative hyperring."""
+    mats = list(itertools.product(range(2), repeat=3))
+    index = {m: i for i, m in enumerate(mats)}
+
+    def mul(x, y):
+        return (x[0] * y[0] % 2, (x[0] * y[1] + x[1] * y[2]) % 2, x[2] * y[2] % 2)
+
+    add = [[index[tuple((p + q) % 2 for p, q in zip(x, y))] for y in mats]
+           for x in mats]
+    hmul = [[sorted({index[mul(mul(x, e), y)] for e in a_set}) for y in mats]
+            for x in mats]
+    return validate_hyperring("T2(Z2)", add, hmul, require_commutative=False)
+
+
+def _sum_closure(ring: HyperRing) -> list[int]:
+    """All finite sums of finite products of elements, as subset masks."""
+    prods = product_family(ring)
+    seen: set[int] = set(prods)
+    work = list(prods)
+    while work:
+        u = work.pop()
+        for p in prods:
+            s = set_sum(ring, u, p)
+            if s not in seen:
+                seen.add(s)
+                work.append(s)
+    return sorted(seen)
+
+
+def _oracle_projection(ring: HyperRing) -> tuple[int, ...]:
+    """γ* straight from its definition: co-members of any finite sum of
+    finite products are related, classes numbered by least member."""
+    uf = UnionFind(ring.size)
+    for u in _sum_closure(ring):
+        members = elements_of(u)
+        for other in members[1:]:
+            uf.union(members[0], other)
+    roots = sorted({uf.find(x) for x in range(ring.size)})
+    return tuple(roots.index(uf.find(x)) for x in range(ring.size))
 
 
 class TestClassicalNIdeal:

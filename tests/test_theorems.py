@@ -5,6 +5,8 @@ from importlib import resources
 
 import pytest
 
+from hyperrings import theorems
+from hyperrings.core import CapExceeded
 from hyperrings.corpus import ordinary_ring, zn_with_products
 from hyperrings.construct import direct_product
 from hyperrings.theorems import (
@@ -119,6 +121,16 @@ class TestSingleVerdicts:
     def test_t35_mod2_reduction(self, z4, z2):
         report = run_suite([z4, z2], only={"T35"}, explore_readings=False)
         assert all(v.status == HOLDS for v in report.verdicts)
+
+    def test_t35_hom_cap_is_not_applicable(self, z4, z2, monkeypatch):
+        def capped(source, target):
+            raise CapExceeded("homomorphism candidates", 81, 16)
+
+        monkeypatch.setattr(theorems, "enumerate_good_homomorphisms", capped)
+        report = run_suite([z4, z2], only={"T35"}, explore_readings=False)
+        for v in report.verdicts:
+            assert v.status == NOT_APPLICABLE
+            assert "homomorphism candidates 81 exceeds cap 16" in v.witness["reason"]
 
 
 class TestCoverMachinery:
