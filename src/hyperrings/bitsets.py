@@ -1,21 +1,37 @@
 """Subsets of a finite carrier encoded as integer bitmasks.
 
 Element i of the carrier corresponds to bit ``1 << i``.  All hyperproduct,
-ideal and closed-set computations in this package move these masks around,
-so the helpers here are deliberately small and allocation-free.
+ideal and closed-set computations in this package move these masks around.
+Carriers have at most 16 elements in practice, so :func:`bits` answers from
+two 256-entry tables of bit positions, one for the low byte and one for the
+high byte, and falls back to a bit-by-bit loop only for wider masks.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in increasing order."""
+def _positions(byte: int, offset: int) -> tuple[int, ...]:
+    return tuple(i + offset for i in range(8) if byte >> i & 1)
+
+
+_LOW = tuple(_positions(b, 0) for b in range(256))
+_HIGH = tuple(_positions(b, 8) for b in range(256))
+
+
+def bits(mask: int) -> tuple[int, ...]:
+    """The set bit positions of ``mask`` in increasing order."""
+    if mask < 256:
+        return _LOW[mask]
+    if mask < 65536:
+        return _LOW[mask & 255] + _HIGH[mask >> 8]
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(out)
 
 
 def mask_of(elements: Iterable[int]) -> int:

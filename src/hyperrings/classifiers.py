@@ -26,14 +26,13 @@ from .core import (
     HyperRingError,
     NoIdentity,
     ZERO_MASK,
-    nzd_mask,
-    vnr_mask,
 )
 from .ideals import (
     IdealProfile,
     hyperideal_masks,
     is_C_hyperideal,
     prime_condition_holds,
+    prime_witness,
     profile,
     radical,
     zero_radical,
@@ -52,23 +51,10 @@ class NotDisjoint(HyperRingError):
 
 def regular_mask(ring: HyperRing, notion: str = REGULAR_NZD) -> int:
     if notion == REGULAR_NZD:
-        return nzd_mask(ring)
+        return ring.nzd
     if notion == REGULAR_VNR:
-        return vnr_mask(ring)
+        return ring.vnr
     raise ValueError(f"unknown regular-element notion {notion!r}")
-
-
-def prime_witness(ring: HyperRing, members: int) -> Optional[tuple[int, int]]:
-    """Least pair (x, y) outside the ideal whose product lies inside it."""
-    for x in range(ring.size):
-        if members & singleton(x):
-            continue
-        for y in range(ring.size):
-            if members & singleton(y):
-                continue
-            if is_subset(ring.hmul[x][y], members):
-                return (x, y)
-    return None
 
 
 def is_prime(ring: HyperRing, members: int, mode: str = MODE_RELAXED) -> bool:
@@ -314,31 +300,24 @@ class ClassificationFlags:
 def classify_ideal(ring: HyperRing, members: int, mode: str = MODE_RELAXED,
                    regular: str = REGULAR_NZD,
                    cap: Optional[int] = None) -> ClassificationFlags:
-    witnesses: list[tuple[str, tuple[int, int]]] = []
-    prime = is_prime(ring, members, mode)
-    if not prime and members != ring.carrier_mask:
-        w = prime_witness(ring, members)
-        if w is not None:
-            witnesses.append(("prime", w))
-    r_flag = is_r_hyperideal(ring, members, mode, regular)
-    if not r_flag:
-        w = r_witness(ring, members, regular)
-        if w is not None:
-            witnesses.append(("r_ideal", w))
-    n_flag = is_n_hyperideal(ring, members, mode, cap)
-    if not n_flag and members != ring.carrier_mask:
-        w = n_witness(ring, members, cap)
-        if w is not None:
-            witnesses.append(("n_ideal", w))
+    """Every flag of one ideal; each law is scanned once, for its witness,
+    and its flag is read off that witness."""
+    proper = members != ring.carrier_mask
+    strict = mode == MODE_STRICT
+    prime_w = prime_witness(ring, members) if proper else None
+    r_w = r_witness(ring, members, regular)
+    n_w = n_witness(ring, members, cap) if proper else None
+    witnesses = tuple((name, w) for name, w in (
+        ("prime", prime_w), ("r_ideal", r_w), ("n_ideal", n_w)) if w is not None)
     return ClassificationFlags(
-        prime=prime,
+        prime=proper and prime_w is None and not (strict and members == ZERO_MASK),
         primary=is_primary(ring, members, mode),
         maximal=is_maximal_in_class(ring, members, CLASS_HYPERIDEAL, mode,
                                     regular, cap),
         minimal_nonzero=is_minimal_nonzero(ring, members, cap),
         essential=is_essential(ring, members, cap),
-        r_ideal=r_flag,
-        n_ideal=n_flag,
+        r_ideal=r_w is None and (proper or not strict),
+        n_ideal=proper and n_w is None,
         is_C=is_C_hyperideal(ring, members),
-        witnesses=tuple(witnesses),
+        witnesses=witnesses,
     )

@@ -120,9 +120,9 @@ def quotient(ring: HyperRing, ideal: int, name: Optional[str] = None) -> Quotien
 
     add_q = [[0] * k for _ in range(k)]
     for i in range(k):
-        ri = next(bits(coset_masks[i]))
+        ri = bits(coset_masks[i])[0]
         for j in range(k):
-            rj = next(bits(coset_masks[j]))
+            rj = bits(coset_masks[j])[0]
             add_q[i][j] = proj[ring.add[ri][rj]]
 
     hmul_q = [[None] * k for _ in range(k)]

@@ -72,6 +72,19 @@ class HyperRing:
     the subset ``a o b``.  ``commutative`` is False only for structures
     produced by the matrix construction, which is the single sanctioned
     source of non-commutative carriers.
+
+    Derived data is computed on first use and cached on the instance, so it
+    lives exactly as long as the ring:
+
+    * ``neg`` and ``sub``: additive inverses and the subtraction table;
+    * ``annihilators``: ``annihilators[x]`` is the mask of all y with
+      ``x o y = {0}``;
+    * ``nzd`` and ``zero_divisors``: element masks read off the annihilators;
+    * ``vnr``: the von Neumann regular elements;
+    * ``nilpotent``: the elements some power of which is ``{0}``;
+    * ``absorb``: ``absorb[x]`` is the union over all r of ``r o x`` and
+      ``x o r``, which every hyperideal containing x must contain;
+    * ``flags``: the :class:`RingFlags` that :func:`classify_ring` returns.
     """
 
     name: str
@@ -107,6 +120,76 @@ class HyperRing:
     def carrier_mask(self) -> int:
         return full_mask(self.size)
 
+    @cached_property
+    def annihilators(self) -> tuple[int, ...]:
+        """``annihilators[x]``: all y with ``x o y = {0}``."""
+        return tuple(mask_of(y for y, cell in enumerate(row) if cell == ZERO_MASK)
+                     for row in self.hmul)
+
+    @cached_property
+    def nzd(self) -> int:
+        """Non-zero-divisors: the annihilator is exactly ``{0}``."""
+        return mask_of(x for x, a in enumerate(self.annihilators) if a == ZERO_MASK)
+
+    @cached_property
+    def zero_divisors(self) -> int:
+        """Elements x with ``x o y = {0}`` for some nonzero y."""
+        return mask_of(x for x, a in enumerate(self.annihilators) if a & ~ZERO_MASK)
+
+    @cached_property
+    def vnr(self) -> int:
+        """Von Neumann regular elements: ``x in x^2 o y`` for some y."""
+        hm = self.hmul
+        reach = []  # reach[a]: the union over all y of a o y
+        for row in hm:
+            m = 0
+            for cell in row:
+                m |= cell
+            reach.append(m)
+        out = 0
+        for x in range(self.size):
+            m = 0
+            for a in bits(hm[x][x]):
+                m |= reach[a]
+            if m >> x & 1:
+                out |= 1 << x
+        return out
+
+    @cached_property
+    def nilpotent(self) -> int:
+        """Elements x with ``x^n = {0}`` for some n (exact via the power orbit)."""
+        return mask_of(x for x in range(self.size)
+                       if ZERO_MASK in power_orbit(self, x))
+
+    @cached_property
+    def absorb(self) -> tuple[int, ...]:
+        """``absorb[x]``: the union over all r of ``r o x`` and ``x o r``."""
+        hm = self.hmul
+        out = []
+        for x in range(self.size):
+            row = hm[x]
+            m = 0
+            for r in range(self.size):
+                m |= hm[r][x] | row[r]
+            out.append(m)
+        return tuple(out)
+
+    @cached_property
+    def flags(self) -> RingFlags:
+        """Ring-level flags; see :func:`classify_ring`."""
+        if self.identity is None:
+            invertible = None
+        else:
+            # Invertibility is only demanded of nonzero elements: requiring it
+            # of 0 would make the flag false on every field.
+            invertible = all(is_invertible(self, x) for x in range(1, self.size))
+        return RingFlags(
+            integral_hyperdomain=is_integral_hyperdomain(self),
+            reduced=not self.nilpotent & ~ZERO_MASK,
+            regular_ring=self.vnr == self.carrier_mask,
+            invertible_ring=invertible,
+        )
+
     def neg_mask(self, mask: int) -> int:
         out = 0
         for x in bits(mask):
@@ -124,10 +207,11 @@ class HyperRing:
 def hprod(ring: HyperRing, a_mask: int, b_mask: int) -> int:
     """Hyperproduct of two subsets: the union of all pairwise ``a o b``."""
     hm = ring.hmul
+    right = bits(b_mask)
     out = 0
     for a in bits(a_mask):
         row = hm[a]
-        for b in bits(b_mask):
+        for b in right:
             out |= row[b]
     return out
 
@@ -135,10 +219,11 @@ def hprod(ring: HyperRing, a_mask: int, b_mask: int) -> int:
 def set_sum(ring: HyperRing, a_mask: int, b_mask: int) -> int:
     """Elementwise sum of two subsets: ``{x + y : x in A, y in B}``."""
     add = ring.add
+    right = bits(b_mask)
     out = 0
     for a in bits(a_mask):
         row = add[a]
-        for b in bits(b_mask):
+        for b in right:
             out |= 1 << row[b]
     return out
 
@@ -172,51 +257,39 @@ def power_of_element(ring: HyperRing, x: int, n: int) -> int:
 
 def is_nilpotent(ring: HyperRing, x: int) -> bool:
     """True iff ``x^n = {0}`` for some n (exact via the power orbit)."""
-    return any(m == ZERO_MASK for m in power_orbit(ring, x))
+    return bool(ring.nilpotent & singleton(x))
 
 
 def ann_mask(ring: HyperRing, x: int) -> int:
     """Annihilator of an element: all y with ``x o y = {0}``."""
-    out = 0
-    for y in range(ring.size):
-        if ring.hmul[x][y] == ZERO_MASK:
-            out |= 1 << y
-    return out
+    return ring.annihilators[x]
 
 
 def is_nzd(ring: HyperRing, x: int) -> bool:
     """Non-zero-divisor: the annihilator is exactly ``{0}``."""
-    return ann_mask(ring, x) == ZERO_MASK
+    return bool(ring.nzd & singleton(x))
 
 
 def is_zero_divisor(ring: HyperRing, x: int) -> bool:
     """True iff ``x o y = {0}`` for some nonzero y."""
-    for y in range(1, ring.size):
-        if ring.hmul[x][y] == ZERO_MASK:
-            return True
-    return False
+    return bool(ring.zero_divisors & singleton(x))
 
 
 def zero_divisor_mask(ring: HyperRing) -> int:
-    return mask_of(x for x in range(ring.size) if is_zero_divisor(ring, x))
+    return ring.zero_divisors
 
 
 def nzd_mask(ring: HyperRing) -> int:
-    return mask_of(x for x in range(ring.size) if is_nzd(ring, x))
+    return ring.nzd
 
 
 def is_regular_vnr(ring: HyperRing, x: int) -> bool:
     """Von Neumann regular element: ``x in x^2 o y`` for some y."""
-    sq = ring.hmul[x][x]
-    bit = singleton(x)
-    for y in range(ring.size):
-        if hprod(ring, sq, singleton(y)) & bit:
-            return True
-    return False
+    return bool(ring.vnr & singleton(x))
 
 
 def vnr_mask(ring: HyperRing) -> int:
-    return mask_of(x for x in range(ring.size) if is_regular_vnr(ring, x))
+    return ring.vnr
 
 
 def is_invertible(ring: HyperRing, x: int) -> bool:
@@ -270,20 +343,7 @@ def is_integral_hyperdomain(ring: HyperRing) -> bool:
 
 
 def classify_ring(ring: HyperRing) -> RingFlags:
-    reduced = not any(is_nilpotent(ring, x) for x in range(1, ring.size))
-    regular = all(is_regular_vnr(ring, x) for x in range(ring.size))
-    if ring.identity is None:
-        invertible = None
-    else:
-        # Invertibility is only demanded of nonzero elements: requiring it
-        # of 0 would make the flag false on every field.
-        invertible = all(is_invertible(ring, x) for x in range(1, ring.size))
-    return RingFlags(
-        integral_hyperdomain=is_integral_hyperdomain(ring),
-        reduced=reduced,
-        regular_ring=regular,
-        invertible_ring=invertible,
-    )
+    return ring.flags
 
 
 def _detect_identity(size: int, hmul: Sequence[Sequence[int]],

@@ -39,24 +39,21 @@ def is_hyperideal(ring: HyperRing, members: int) -> bool:
     """Exhaustive check of both closure laws.
 
     Membership is closed under subtraction, and absorbs hypermultiplication
-    by arbitrary ring elements (from both sides when the carrier is not
-    commutative).
+    by arbitrary ring elements from both sides (``ring.absorb``).
     """
     if members == 0:
         raise EmptySet("a hyperideal candidate must be nonempty")
     sub = ring.sub
-    for a in bits(members):
+    elems = bits(members)
+    for a in elems:
         row = sub[a]
-        for b in bits(members):
-            if not members & singleton(row[b]):
+        for b in elems:
+            if not members >> row[b] & 1:
                 return False
-    hm = ring.hmul
-    for x in bits(members):
-        for r in range(ring.size):
-            if not is_subset(hm[r][x], members):
-                return False
-            if not ring.commutative and not is_subset(hm[x][r], members):
-                return False
+    absorb = ring.absorb
+    for x in elems:
+        if not is_subset(absorb[x], members):
+            return False
     return True
 
 
@@ -65,19 +62,16 @@ def generated_ideal_mask(ring: HyperRing, gens: int) -> int:
     if gens == 0:
         raise EmptySet("generators must be nonempty")
     members = gens
-    hm = ring.hmul
     sub = ring.sub
+    absorb = ring.absorb
     while True:
         new = members
-        for a in bits(members):
+        elems = bits(members)
+        for a in elems:
             row = sub[a]
-            for b in bits(members):
-                new |= singleton(row[b])
-        for x in bits(members):
-            for r in range(ring.size):
-                new |= hm[r][x]
-                if not ring.commutative:
-                    new |= hm[x][r]
+            for b in elems:
+                new |= 1 << row[b]
+            new |= absorb[a]
         if new == members:
             return members
         members = new
@@ -252,19 +246,21 @@ def ann_of_set(ring: HyperRing, mask: int) -> int:
     return out
 
 
+def prime_witness(ring: HyperRing, members: int) -> Optional[tuple[int, int]]:
+    """Least pair (x, y) outside the ideal whose product lies inside it."""
+    hm = ring.hmul
+    outside = bits(ring.carrier_mask & ~members)
+    for x in outside:
+        row = hm[x]
+        for y in outside:
+            if is_subset(row[y], members):
+                return (x, y)
+    return None
+
+
 def prime_condition_holds(ring: HyperRing, members: int) -> bool:
     """Pair scan of the primality law: ``x o y inside I`` forces x or y in I."""
-    hm = ring.hmul
-    for x in range(ring.size):
-        if members & singleton(x):
-            continue
-        row = hm[x]
-        for y in range(ring.size):
-            if members & singleton(y):
-                continue
-            if is_subset(row[y], members):
-                return False
-    return True
+    return prime_witness(ring, members) is None
 
 
 @lru_cache(maxsize=None)

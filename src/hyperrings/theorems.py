@@ -47,11 +47,7 @@ from .core import (
     ZERO_MASK,
     classify_ring,
     hprod,
-    is_nilpotent,
-    nzd_mask,
     set_sum,
-    vnr_mask,
-    zero_divisor_mask,
 )
 from .classifiers import (
     MODE_RELAXED,
@@ -202,17 +198,8 @@ class RingContext:
         return self._memo("standing", compute)
 
     # -- element sets -------------------------------------------------------
-    def nzd(self) -> int:
-        return self._memo("nzd", lambda: nzd_mask(self.ring))
-
-    def vnr(self) -> int:
-        return self._memo("vnr", lambda: vnr_mask(self.ring))
-
     def reg(self, rd: Reading) -> int:
-        return self.nzd() if rd.regular == "nzd" else self.vnr()
-
-    def zmask(self) -> int:
-        return self._memo("zmask", lambda: zero_divisor_mask(self.ring))
+        return self.ring.nzd if rd.regular == "nzd" else self.ring.vnr
 
     # -- classifications ----------------------------------------------------
     def is_n(self, members: int) -> bool:
@@ -510,10 +497,10 @@ def _t03(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
 @entry("T04",
        "Every proper r-ideal consists of zero divisors.")
 def _t04(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
-    z = ctx.zmask()
+    z = ctx.ring.zero_divisors
     for i_mask in ctx.r_class():
         if not is_subset(i_mask, z):
-            x = next(iter(bits(i_mask & ~z)))
+            x = bits(i_mask & ~z)[0]
             return _ce(ideal_set=i_mask, non_zero_divisor=x)
     return HOLDS, None
 
@@ -632,7 +619,7 @@ def _t09(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
        "of zero divisors.",
        axes=("prime_mode",))
 def _t10(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
-    z = ctx.zmask()
+    z = ctx.ring.zero_divisors
     for p in ctx.primes(rd):
         if ctx.r_ok(p) != is_subset(p, z):
             return _ce(prime_set=p, is_r=ctx.r_ok(p),
@@ -1002,8 +989,7 @@ def _t30(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
 def _t31(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     all_ideals = ctx.ideals()
     nil_free = [m for m in all_ideals
-                if not any(x != 0 and is_nilpotent(ctx.ring, x)
-                           for x in bits(m))]
+                if not m & ctx.ring.nilpotent & ~ZERO_MASK]
     for i_mask in all_ideals:
         for k in (2, COVER_MAX):
             for combo in combinations(all_ideals, k):
@@ -1286,7 +1272,7 @@ def _evaluate(entry_: TheoremEntry, ctx: RingContext, rd: Reading,
             return NOT_APPLICABLE, {"reason": reason}
         return entry_.checker(ctx, rd, suite)
     except CapExceeded as exc:
-        return NOT_APPLICABLE, {"reason": f"enumeration cap: {exc}"}
+        return NOT_APPLICABLE, {"reason": f"{exc.what} cap: {exc}"}
 
 
 def _reading_combos(entry_: TheoremEntry, base: Reading) -> list[Reading]:

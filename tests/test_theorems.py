@@ -131,6 +131,7 @@ class TestSingleVerdicts:
         for v in report.verdicts:
             assert v.status == NOT_APPLICABLE
             assert "homomorphism candidates 81 exceeds cap 16" in v.witness["reason"]
+            assert "enumeration cap" not in v.witness["reason"]
 
 
 class TestCoverMachinery:
