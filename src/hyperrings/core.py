@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .bitsets import bits, full_mask, is_subset, mask_of, singleton
+from .bitsets import bits, full_mask, mask_of, singleton
 
 ZERO_MASK = 1  # the subset {0}
 
@@ -346,8 +346,8 @@ def classify_ring(ring: HyperRing) -> RingFlags:
     return ring.flags
 
 
-def _detect_identity(size: int, hmul: Sequence[Sequence[int]],
-                     commutative: bool) -> tuple[Optional[int], bool]:
+def _detect_identity(size: int,
+                     hmul: Sequence[Sequence[int]]) -> tuple[Optional[int], bool]:
     """Find an identity: prefer a scalar identity, then the least index."""
     scalar = None
     plain = None
@@ -366,6 +366,28 @@ def _detect_identity(size: int, hmul: Sequence[Sequence[int]],
     return plain, False
 
 
+class _Memo(dict):
+    """A dict that fills a missing key ``k`` with ``fill(k)`` and keeps it."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _unions(cells: Sequence[int]) -> _Memo:
+    """``_unions(cells)[m]``: the union of ``cells[u]`` over the u in mask m."""
+    def fill(m: int) -> int:
+        out = 0
+        for u in bits(m):
+            out |= cells[u]
+        return out
+    return _Memo(fill)
+
+
 def validate_hyperring(
     name: str,
     add: Sequence[Sequence[int]],
@@ -381,6 +403,14 @@ def validate_hyperring(
     hmul-commutative, hmul-associative, distributive, sign-compatible.
     Empty cells raise :class:`EmptyHyperproduct`, shape problems
     :class:`DimensionMismatch`.
+
+    The witness of a violated law is its least failing tuple in ``(a, b, c)``
+    scan order.  Where the operation is known to be commutative, the
+    associativity scans skip ``c <= a`` and the distributivity scan skips
+    ``c < b``: ``(a, b, c)`` fails exactly when ``(c, b, a)`` (for
+    distributivity ``(a, c, b)``) fails, and ``(a, b, a)`` never fails, so
+    the least failing tuple is never skipped.  Subset products and sums are
+    computed once per distinct operand mask.
     """
     n = len(add)
     if n < 1:
@@ -401,14 +431,15 @@ def validate_hyperring(
             raise DimensionMismatch(f"hmul row {a} has length {len(row)}, expected {n}")
         masks = []
         for b, cell in enumerate(row):
-            elems = list(cell)
-            if not elems:
-                raise EmptyHyperproduct(a, b)
-            for v in elems:
+            m = 0
+            for v in cell:
                 if not isinstance(v, int) or not 0 <= v < n:
                     raise DimensionMismatch(
                         f"hmul[{a}][{b}] contains {v!r}, out of range 0..{n - 1}")
-            masks.append(mask_of(elems))
+                m |= 1 << v
+            if not m:
+                raise EmptyHyperproduct(a, b)
+            masks.append(m)
         hmul_rows.append(tuple(masks))
 
     addt = tuple(add_rows)
@@ -423,10 +454,12 @@ def validate_hyperring(
             if addt[a][b] != addt[b][a]:
                 raise AxiomViolation("add-commutative", (a, b))
     for a in range(n):
+        arow = addt[a]
         for b in range(n):
-            ab = addt[a][b]
-            for c in range(n):
-                if addt[ab][c] != addt[a][addt[b][c]]:
+            ab = addt[arow[b]]
+            brow = addt[b]
+            for c in range(a + 1, n):
+                if ab[c] != arow[brow[c]]:
                     raise AxiomViolation("add-associative", (a, b, c))
     neg = [None] * n
     for a in range(n):
@@ -437,50 +470,47 @@ def validate_hyperring(
         if neg[a] is None:
             raise AxiomViolation("add-inverse", (a,), "no additive inverse")
 
-    commutative = all(
-        hmt[a][b] == hmt[b][a] for a in range(n) for b in range(a + 1, n)
-    )
+    pair = next(((a, b) for a in range(n) for b in range(a + 1, n)
+                 if hmt[a][b] != hmt[b][a]), None)
+    commutative = pair is None
     if require_commutative and not commutative:
-        for a in range(n):
-            for b in range(a + 1, n):
-                if hmt[a][b] != hmt[b][a]:
-                    raise AxiomViolation("hmul-commutative", (a, b))
+        raise AxiomViolation("hmul-commutative", pair)
 
-    # Associativity at subset level: (a o b) o c == a o (b o c).
+    # Associativity at subset level: (a o b) o c == a o (b o c), where
+    # right[x][m] is x o m and left[c][m] is m o c.
+    right = [_unions(row) for row in hmt]
+    cols = hmt if commutative else tuple(zip(*hmt))
+    left = right if commutative else [_unions(col) for col in cols]
     for a in range(n):
+        arow = hmt[a]
+        right_a = right[a]
         for b in range(n):
-            ab = hmt[a][b]
-            for c in range(n):
-                left = 0
-                for t in bits(ab):
-                    left |= hmt[t][c]
-                right = 0
-                for u in bits(hmt[b][c]):
-                    right |= hmt[a][u]
-                if left != right:
+            ab = arow[b]
+            brow = hmt[b]
+            for c in range(a + 1 if commutative else 0, n):
+                if left[c][ab] != right_a[brow[c]]:
                     raise AxiomViolation("hmul-associative", (a, b, c))
 
-    # Weak distributivity: a o (b+c) is contained in a o b + a o c.
+    # Weak distributivity: a o (b+c) is contained in a o b + a o c, and on a
+    # non-commutative o also (b+c) o a in b o a + c o a.
+    def sums_with(p: int) -> _Memo:
+        # p + q is the union over y in q of the translates p + y
+        xs = bits(p)
+        return _unions([mask_of(addt[x][y] for x in xs) for y in range(n)])
+
+    sums = _Memo(sums_with)  # sums[p][q] is the set sum p + q
     for a in range(n):
+        arow = hmt[a]
+        acol = cols[a]
         for b in range(n):
-            for c in range(n):
-                lhs = hmt[a][addt[b][c]]
-                rhs = 0
-                for x in bits(hmt[a][b]):
-                    arow = addt[x]
-                    for y in bits(hmt[a][c]):
-                        rhs |= 1 << arow[y]
-                if not is_subset(lhs, rhs):
+            brow = addt[b]
+            sums_ab = sums[arow[b]]
+            sums_ba = sums[acol[b]]
+            for c in range(b, n):
+                if arow[brow[c]] & ~sums_ab[arow[c]]:
                     raise AxiomViolation("distributive", (a, b, c))
-                if not commutative:
-                    lhs2 = hmt[addt[b][c]][a]
-                    rhs2 = 0
-                    for x in bits(hmt[b][a]):
-                        arow = addt[x]
-                        for y in bits(hmt[c][a]):
-                            rhs2 |= 1 << arow[y]
-                    if not is_subset(lhs2, rhs2):
-                        raise AxiomViolation("distributive", (b, c, a))
+                if not commutative and acol[brow[c]] & ~sums_ba[acol[c]]:
+                    raise AxiomViolation("distributive", (b, c, a))
 
     # Sign compatibility: a o (-b) = (-a) o b = -(a o b).
     for a in range(n):
@@ -492,7 +522,7 @@ def validate_hyperring(
             if hmt[a][neg[b]] != negprod or hmt[neg[a]][b] != negprod:
                 raise AxiomViolation("sign-compatible", (a, b))
 
-    identity, scalar = _detect_identity(n, hmt, commutative)
+    identity, scalar = _detect_identity(n, hmt)
     prov = None
     if provenance:
         prov = tuple(sorted((str(k), str(v)) for k, v in provenance.items()))
