@@ -355,44 +355,61 @@ def enumerate_good_homomorphisms(source: HyperRing, target: HyperRing,
                                  candidate_cap: int = 65536) -> list[GoodHomomorphism]:
     """All good homomorphisms, found by assigning generator images.
 
-    Additive maps are determined by the images of an additive generating
-    set; each assignment is extended by additivity and then checked in
-    full.  Deterministic output order (lexicographic in the map table).
+    An additive map is fixed by the images of an additive generating set
+    ``gens``, and a generator of additive order k can only go to an element
+    whose order divides k, so only those images are tried (Zn -> Zm: gcd(n, m)
+    of the m elements).  Each assignment fills the map in one pass along a
+    spanning tree of steps ``b = a + g`` from 0 and then checks
+    ``f(a + g) = f(a) + f(g)`` on every other (element, generator) edge.
+    That proves additivity: every y is a sum of generators, and induction on
+    that sum gives ``f(x + y) = f(x) + f(y)``.  Only the hyperproduct cells
+    are then compared, stopping at the first one that fails.
+    :func:`check_good_homomorphism` stays the public validator of a single
+    map.  The cap counts the raw assignments, ``target.size ** len(gens)``,
+    before any pruning.  Deterministic output order (lexicographic in the
+    map table).
     """
     gens = _additive_generators(source)
     total = target.size ** len(gens)
     if total > candidate_cap:
         raise CapExceeded("homomorphism candidates", total, candidate_cap)
+    sadd, tadd, thmul = source.add, target.add, target.hmul
+    sord, tord = source.add_order, target.add_order
+    choices = [[t for t in range(target.size) if sord[g] % tord[t] == 0]
+               for g in gens]
+    # BFS from 0: tree steps (b, a, i) fill f(b) = f(a) + f(gens[i]); every
+    # other (a, i) pair becomes an edge to check
+    steps: list[tuple[int, int, int]] = []
+    edges: list[tuple[int, int, int]] = []
+    seen = {0}
+    queue = [0]
+    for a in queue:
+        for i, g in enumerate(gens):
+            b = sadd[a][g]
+            if b in seen:
+                edges.append((b, a, i))
+            else:
+                seen.add(b)
+                queue.append(b)
+                steps.append((b, a, i))
+    cells = [(x, y, bits(cell)) for x, row in enumerate(source.hmul)
+             for y, cell in enumerate(row)]
     found: list[GoodHomomorphism] = []
-    for images in itertools.product(range(target.size), repeat=len(gens)):
-        mapping: list[Optional[int]] = [None] * source.size
-        mapping[0] = 0
-        for g, img in zip(gens, images):
-            mapping[g] = img
-        ok = True
-        changed = True
-        while changed and ok:
-            changed = False
-            for a in range(source.size):
-                if mapping[a] is None:
-                    continue
-                for g, img in zip(gens, images):
-                    b = source.add[a][g]
-                    val = target.add[mapping[a]][img]
-                    if mapping[b] is None:
-                        mapping[b] = val
-                        changed = True
-                    elif mapping[b] != val:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if not ok or any(v is None for v in mapping):
+    for images in itertools.product(*choices):
+        f = [0] * source.size
+        for b, a, i in steps:
+            f[b] = tadd[f[a]][images[i]]
+        if any(f[b] != tadd[f[a]][images[i]] for b, a, i in edges):
             continue
-        try:
-            found.append(check_good_homomorphism(mapping, source, target))
-        except (NotAdditive, NotMultiplicative):
-            continue
+        for x, y, cell in cells:
+            image = 0
+            for t in cell:
+                image |= 1 << f[t]
+            if image != thmul[f[x]][f[y]]:
+                break
+        else:
+            found.append(GoodHomomorphism(source=source, target=target,
+                                          mapping=tuple(f)))
     found.sort(key=lambda h: h.mapping)
     return found
 

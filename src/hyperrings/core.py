@@ -76,7 +76,9 @@ class HyperRing:
     Derived data is computed on first use and cached on the instance, so it
     lives exactly as long as the ring:
 
-    * ``neg`` and ``sub``: additive inverses and the subtraction table;
+    * ``neg`` and ``sub``: additive inverses and the subtraction table
+      (:func:`validate_hyperring` hands its inverses to ``neg``);
+    * ``add_order``: the additive order of each element;
     * ``annihilators``: ``annihilators[x]`` is the mask of all y with
       ``x o y = {0}``;
     * ``nzd`` and ``zero_divisors``: element masks read off the annihilators;
@@ -105,6 +107,19 @@ class HyperRing:
                 if self.add[a][b] == 0:
                     out[a] = b
                     break
+        return tuple(out)
+
+    @cached_property
+    def add_order(self) -> tuple[int, ...]:
+        """Additive order of each element: the least k >= 1 with ``k x = 0``."""
+        out = []
+        for x in range(self.size):
+            row = self.add[x]
+            k, a = 1, x
+            while a:
+                a = row[a]
+                k += 1
+            out.append(k)
         return tuple(out)
 
     @cached_property
@@ -526,7 +541,7 @@ def validate_hyperring(
     prov = None
     if provenance:
         prov = tuple(sorted((str(k), str(v)) for k, v in provenance.items()))
-    return HyperRing(
+    ring = HyperRing(
         name=name,
         size=n,
         add=addt,
@@ -536,3 +551,8 @@ def validate_hyperring(
         commutative=commutative,
         provenance=prov,
     )
+    # Seed the cached ``neg`` with the inverses found above.  A cached
+    # property lives in the instance dict, outside the dataclass fields, so
+    # equality and hashing do not see it.
+    ring.__dict__["neg"] = tuple(neg)
+    return ring

@@ -4,6 +4,8 @@ fundamental ordinary-ring quotient."""
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperrings.bitsets import elements_of, is_subset, mask_of, singleton
 from hyperrings.core import (
@@ -20,6 +22,7 @@ from hyperrings.construct import (
     NotMultiplicative,
     OrdinaryRing,
     UnionFind,
+    _additive_generators,
     check_good_homomorphism,
     classical_n_ideal,
     direct_product,
@@ -149,11 +152,12 @@ class TestGoodHomomorphisms:
         with pytest.raises(NotAdditive):
             check_good_homomorphism([0, 1, 1, 1], z4, z4)
 
-    def test_not_multiplicative(self, z4, z2):
-        # additive but 1 -> 0 kills products of units: phi(1 o 1) = {0}
-        # while phi(1) o phi(1) = {0}; need a genuinely bad one:
-        with pytest.raises((NotAdditive, NotMultiplicative)):
-            check_good_homomorphism([0, 1, 2, 0], z4, z4)
+    def test_not_multiplicative(self, z4):
+        # x -> 2x is additive on Z4, but f(1 o 1) = {2} while
+        # f(1) o f(1) = 2 o 2 = {0}
+        with pytest.raises(NotMultiplicative) as exc:
+            check_good_homomorphism([0, 2, 0, 2], z4, z4)
+        assert exc.value.witness == (1, 1)
 
     def test_enumeration_finds_all(self, z4, z2):
         homs = enumerate_good_homomorphisms(z4, z2)
@@ -164,6 +168,73 @@ class TestGoodHomomorphisms:
         assert hom.image_mask(mask_of([0, 2])) == mask_of([0])
         assert hom.preimage_mask(mask_of([0])) == mask_of([0, 2])
         assert hom.preimage_mask(z2.carrier_mask) == z4.carrier_mask
+
+
+def relabel(ring: HyperRing, to) -> HyperRing:
+    """The same structure with element x renamed ``to[x]`` (``to[0] = 0``)."""
+    n = ring.size
+    back = [0] * n
+    for old, new in enumerate(to):
+        back[new] = old
+    add = [[to[ring.add[back[a]][back[b]]] for b in range(n)] for a in range(n)]
+    hmul = [[[to[t] for t in elements_of(ring.hmul[back[a]][back[b]])]
+             for b in range(n)] for a in range(n)]
+    return validate_hyperring(f"{ring.name}{list(to)}", add, hmul,
+                              require_commutative=ring.commutative)
+
+
+def brute_force_homs(source: HyperRing, target: HyperRing) -> list[tuple[int, ...]]:
+    """Every total map that :func:`check_good_homomorphism` accepts, sorted."""
+    found = []
+    for mapping in itertools.product(range(target.size), repeat=source.size):
+        try:
+            found.append(check_good_homomorphism(mapping, source, target).mapping)
+        except (NotAdditive, NotMultiplicative):
+            pass
+    return found
+
+
+@pytest.fixture(scope="module")
+def z4_swapped(z4):
+    # labels 1 and 2 swapped: the greedy generators 1 and 2 have additive
+    # orders 2 and 4 and are dependent (2 + 2 = 1), so a generator
+    # assignment can fail the additivity edge check
+    ring = relabel(z4, [0, 2, 1, 3])
+    assert _additive_generators(ring) == [1, 2]
+    assert ring.add[2][2] == 1
+    return ring
+
+
+class TestHomEnumerationOracle:
+    def test_matches_brute_force(self, default_corpus, z4_swapped):
+        rings = [*default_corpus.rings, z4_swapped]
+        pairs = [(s, t) for s in rings for t in rings
+                 if t.size ** s.size <= 1024]
+        assert len(pairs) == 607 + 31  # corpus pairs, then those with z4_swapped
+        for source, target in pairs:
+            got = [h.mapping for h in enumerate_good_homomorphisms(source, target)]
+            assert got == brute_force_homs(source, target), (source.name, target.name)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_relabelling_conjugates_the_homs(self, default_corpus, data):
+        rings = default_corpus.rings
+        source = data.draw(st.sampled_from(rings))
+        target = data.draw(st.sampled_from(
+            [r for r in rings if source.size * r.size <= 36]))
+        sto = [0, *data.draw(st.permutations(range(1, source.size)))]
+        tto = [0, *data.draw(st.permutations(range(1, target.size)))]
+        homs = enumerate_good_homomorphisms(source, target)
+        moved = enumerate_good_homomorphisms(relabel(source, sto),
+                                             relabel(target, tto))
+        assert len(moved) == len(homs)
+        conjugated = []
+        for h in homs:
+            mapping = [0] * source.size
+            for x, v in enumerate(h.mapping):
+                mapping[sto[x]] = tto[v]
+            conjugated.append(tuple(mapping))
+        assert [h.mapping for h in moved] == sorted(conjugated)
 
 
 class TestSubrings:

@@ -56,7 +56,8 @@ def relabelled(ring: HyperRing) -> HyperRing:
 
 
 def expected_data(ring: HyperRing) -> dict:
-    """Every cached mask, ``absorb`` and the ring flags, from set loops."""
+    """Every cached mask, ``absorb``, the ring flags, the additive inverses
+    and orders, from set loops."""
     n = ring.size
     prod = [[{t for t in range(n) if ring.hmul[a][b] >> t & 1} for b in range(n)]
             for a in range(n)]
@@ -89,7 +90,16 @@ def expected_data(ring: HyperRing) -> dict:
         regular_ring=len(vnr) == n,
         invertible_ring=invertible,
     )
+    orders = []
+    for x in range(n):
+        multiple, k = x, 1
+        while multiple != 0:
+            multiple, k = ring.add[multiple][x], k + 1
+        orders.append(k)
     return {
+        "neg": tuple(next(b for b in range(n) if ring.add[a][b] == 0)
+                     for a in range(n)),
+        "add_order": tuple(orders),
         "annihilators": tuple(mask(a) for a in ann),
         "nzd": mask(x for x in range(n) if ann[x] == {0}),
         "zero_divisors": mask(x for x in range(n) if ann[x] - {0}),

@@ -5,6 +5,7 @@ sum cell by cell.
 Both must agree on every table: the same ring, or the same exception type,
 axiom id and witness."""
 
+import dataclasses
 import itertools
 import random
 
@@ -275,6 +276,20 @@ class TestAgainstReference:
                 if ring.commutative:
                     new[b][a] = new[a][b]
                 assert_same_outcome(add, new, ring.commutative)
+
+
+class TestSeededInverses:
+    def test_neg_matches_scan_and_a_directly_built_ring(self, default_corpus):
+        for ring in default_corpus.rings:
+            n = ring.size
+            scan = tuple(next(b for b in range(n) if ring.add[a][b] == 0)
+                         for a in range(n))
+            direct = dataclasses.replace(ring)  # HyperRing(...), neg not seeded
+            assert "neg" in vars(ring) and "neg" not in vars(direct)
+            assert ring.neg == scan, ring.name
+            assert direct.neg == scan, ring.name
+            # the seeded cache is not a field: equality and hashing ignore it
+            assert direct == ring and hash(direct) == hash(ring)
 
 
 class TestWitnesses:
