@@ -14,8 +14,8 @@ in this package is a pure function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from functools import cached_property, wraps
+from typing import Callable, Iterable, Optional, Sequence
 
 from .bitsets import bits, full_mask, mask_of, singleton
 
@@ -87,6 +87,8 @@ class HyperRing:
     * ``absorb``: ``absorb[x]`` is the union over all r of ``r o x`` and
       ``x o r``, which every hyperideal containing x must contain;
     * ``flags``: the :class:`RingFlags` that :func:`classify_ring` returns.
+    * ``product_family`` and ``prime_masks`` (per cap) of
+      :mod:`hyperrings.ideals`, kept here by :func:`cached_on_ring`.
     """
 
     name: str
@@ -205,18 +207,27 @@ class HyperRing:
             invertible_ring=invertible,
         )
 
-    def neg_mask(self, mask: int) -> int:
-        out = 0
-        for x in bits(mask):
-            out |= 1 << self.neg[x]
-        return out
-
     def table_key(self) -> tuple:
         """Content identity ignoring the name, used for corpus dedup."""
         return (self.size, self.add, self.hmul)
 
     def __repr__(self) -> str:  # keep reports compact
         return f"HyperRing({self.name!r}, size={self.size})"
+
+
+def cached_on_ring(fn: Callable) -> Callable:
+    """Decorator keeping ``fn(ring, ...)`` on the ring, once per argument list.
+
+    The values live in the ring's instance dict, like a cached property's,
+    so equality and hashing do not see them; an exception is not kept."""
+    @wraps(fn)
+    def cached(ring: HyperRing, *args, **kwargs):
+        memo = ring.__dict__.setdefault(fn.__name__, {})
+        key = (args, tuple(sorted(kwargs.items())))
+        if key not in memo:
+            memo[key] = fn(ring, *args, **kwargs)
+        return memo[key]
+    return cached
 
 
 def hprod(ring: HyperRing, a_mask: int, b_mask: int) -> int:

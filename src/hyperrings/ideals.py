@@ -20,6 +20,7 @@ from .core import (
     HyperRing,
     HyperRingError,
     ZERO_MASK,
+    cached_on_ring,
     hprod,
     power_orbit,
     set_sum,
@@ -141,7 +142,7 @@ def enumerate_hyperideals(ring: HyperRing, cap: Optional[int] = None) -> list[Id
     return [profile(ring, m) for m in hyperideal_masks(ring, cap)]
 
 
-@lru_cache(maxsize=None)
+@cached_on_ring
 def product_family(ring: HyperRing) -> tuple[int, ...]:
     """All subsets realizable as finite hyperproducts ``r1 o ... o rk``.
 
@@ -263,7 +264,7 @@ def prime_condition_holds(ring: HyperRing, members: int) -> bool:
     return prime_witness(ring, members) is None
 
 
-@lru_cache(maxsize=None)
+@cached_on_ring
 def prime_masks(ring: HyperRing, cap: Optional[int] = None) -> tuple[int, ...]:
     """All proper hyperideals satisfying the primality pair law.
 

@@ -70,6 +70,7 @@ from .construct import (
     IllDefinedQuotient,
     IllFormedQuotient,
     QuotientImage,
+    SubringImage,
     classical_n_ideal,
     enumerate_good_homomorphisms,
     fundamental_ring,
@@ -81,7 +82,7 @@ from .construct import (
     subhyperring_restrict,
 )
 from .ideals import (
-    ann,
+    DEFAULT_ENUMERATION_CAP,
     ann_of_set,
     colon,
     generated_ideal_mask,
@@ -89,6 +90,7 @@ from .ideals import (
     ideal_product,
     is_C_hyperideal,
     is_hyperideal,
+    prime_masks,
     set_product,
     zero_radical,
 )
@@ -146,15 +148,16 @@ def reading_from_flags(flags: dict[str, str]) -> Reading:
 
 
 class RingContext:
-    """Cached per-ring data shared by all registry entries."""
+    """The registry's view of one ring, shared by all registry entries.
 
-    def __init__(self, ring: HyperRing, enumeration_cap: int = 16,
-                 gamma_cap: int = DEFAULT_GAMMA_CAP,
-                 matrix_cap: int = 16):
+    A derived value that a library function in ``core``, ``ideals`` or
+    ``classifiers`` reads is cached on the :class:`HyperRing`, and read from
+    there.  A value only the registry reads is memoised here; so are the
+    quotient and subring images with their contexts, for the whole sweep.
+    """
+
+    def __init__(self, ring: HyperRing):
         self.ring = ring
-        self.enumeration_cap = enumeration_cap
-        self.gamma_cap = gamma_cap
-        self.matrix_cap = matrix_cap
         self._cache: dict = {}
 
     def _memo(self, key, producer):
@@ -172,8 +175,8 @@ class RingContext:
         return self.ring.identity
 
     def ideals(self) -> tuple[int, ...]:
-        return self._memo("ideals",
-                          lambda: hyperideal_masks(self.ring, self.enumeration_cap))
+        return self._memo("ideals", lambda: hyperideal_masks(
+            self.ring, DEFAULT_ENUMERATION_CAP))
 
     def proper(self) -> tuple[int, ...]:
         return self._memo("proper", lambda: tuple(
@@ -184,17 +187,14 @@ class RingContext:
                           lambda: generated_ideal_mask(self.ring, ZERO_MASK))
 
     def rad0(self) -> int:
-        return self._memo("rad0", lambda: zero_radical(self.ring,
-                                                       self.enumeration_cap))
-
-    def is_C(self, members: int) -> bool:
-        return is_C_hyperideal(self.ring, members)
+        return self._memo("rad0", lambda: zero_radical(
+            self.ring, DEFAULT_ENUMERATION_CAP))
 
     def standing_ok(self) -> bool:
         def compute() -> bool:
             if self.ring.identity is None or not self.ring.commutative:
                 return False
-            return all(self.is_C(m) for m in self.proper())
+            return all(is_C_hyperideal(self.ring, m) for m in self.proper())
         return self._memo("standing", compute)
 
     # -- element sets -------------------------------------------------------
@@ -205,7 +205,7 @@ class RingContext:
     def is_n(self, members: int) -> bool:
         key = ("is_n", members)
         return self._memo(key, lambda: is_n_hyperideal(
-            self.ring, members, cap=self.enumeration_cap))
+            self.ring, members, cap=DEFAULT_ENUMERATION_CAP))
 
     def r_ok(self, members: int) -> bool:
         key = ("r_ok", members)
@@ -220,9 +220,10 @@ class RingContext:
             m for m in self.proper() if self.r_ok(m)))
 
     def primes(self, rd: Reading) -> tuple[int, ...]:
-        key = ("primes", rd.prime_mode)
-        return self._memo(key, lambda: tuple(
-            m for m in self.proper() if is_prime(self.ring, m, rd.prime_mode)))
+        primes = prime_masks(self.ring, DEFAULT_ENUMERATION_CAP)
+        if rd.prime_mode == MODE_STRICT:
+            return tuple(m for m in primes if m != ZERO_MASK)
+        return primes
 
     def minimal_primes(self, rd: Reading) -> tuple[int, ...]:
         primes = self.primes(rd)
@@ -244,8 +245,7 @@ class RingContext:
         return self._memo(key, lambda: colon(self.ring, members, against))
 
     def ann(self, x: int) -> int:
-        key = ("ann", x)
-        return self._memo(key, lambda: ann(self.ring, x))
+        return self.ring.annihilators[x]
 
     # -- bounded subset families ---------------------------------------------
     def mult_closed_family(self) -> tuple[int, ...]:
@@ -297,7 +297,7 @@ class RingContext:
     def nmc_family(self) -> tuple[int, ...]:
         return self._memo("nmc", lambda: tuple(
             s for s in self.candidate_subsets()
-            if is_n_mult_closed(self.ring, s, self.enumeration_cap)))
+            if is_n_mult_closed(self.ring, s, DEFAULT_ENUMERATION_CAP)))
 
     def colon_subjects(self) -> tuple[int, ...]:
         """Subsets used for colon-style quantifiers: singletons, ideals,
@@ -310,25 +310,29 @@ class RingContext:
         return self._memo("colon_subjects", compute)
 
     # -- constructions --------------------------------------------------------
-    def quotient_image(self, ideal: int) -> QuotientImage:
-        key = ("quotient", ideal)
-        return self._memo(key, lambda: quotient(self.ring, ideal))
+    def quotient_image(self, ideal: int) -> tuple[QuotientImage, "RingContext"]:
+        def compute():
+            q = quotient(self.ring, ideal)
+            return q, RingContext(q.ring)
+        return self._memo(("quotient", ideal), compute)
+
+    def subrings(self) -> tuple[tuple[int, SubringImage, "RingContext"], ...]:
+        """Each subhyperring's mask, with its image and context."""
+        def image(t_mask: int) -> tuple[int, SubringImage, RingContext]:
+            sub = subhyperring_restrict(self.ring, t_mask)
+            return t_mask, sub, RingContext(sub.ring)
+        return self._memo("subrings", lambda: tuple(
+            map(image, subhyperring_masks(self.ring))))
 
     def fundamental(self) -> FundamentalRingImage:
-        return self._memo("fundamental",
-                          lambda: fundamental_ring(self.ring, self.gamma_cap))
+        return self._memo("fundamental", lambda: fundamental_ring(
+            self.ring, DEFAULT_GAMMA_CAP))
 
     def matrix2(self) -> tuple[HyperRing, "RingContext"]:
         def compute():
-            m2 = matrix_hyperring(self.ring, 2, cap=self.matrix_cap)
-            return m2, RingContext(m2, enumeration_cap=max(16, m2.size),
-                                   gamma_cap=self.gamma_cap,
-                                   matrix_cap=self.matrix_cap)
+            m2 = matrix_hyperring(self.ring, 2)
+            return m2, RingContext(m2)
         return self._memo("matrix2", compute)
-
-
-def _elems(mask: int) -> list[int]:
-    return elements_of(mask)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +351,6 @@ class TheoremEntry:
     checker: Checker
     requires_scalar_identity: bool = False
     requires_gamma: bool = False
-    requires_matrix: bool = False
-    requires_product: bool = False
     notes: str = ""
 
 
@@ -381,7 +383,7 @@ def _ce(**kw) -> CheckResult:
     witness = {}
     for k, v in kw.items():
         if isinstance(v, int) and k.endswith("_set"):
-            witness[k[:-4]] = _elems(v)
+            witness[k[:-4]] = elements_of(v)
         else:
             witness[k] = v
     return COUNTEREXAMPLE, witness
@@ -419,7 +421,7 @@ def _t01(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
                 break
         if lhs != rhs:
             return _ce(part=1, ideal_set=i_mask, holds_r=lhs,
-                       factor_pair=[_elems(wit[0]), _elems(wit[1])] if wit else None)
+                       factor_pair=[elements_of(w) for w in wit] if wit else None)
     # part 2: cancellation
     r_class = ctx.r_class()
     for i_mask in all_ideals:
@@ -548,7 +550,7 @@ def _t07(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
             if ctx.ring.add[x][y] != e:
                 continue
             s = set_sum(ctx.ring, ctx.ann(x), ctx.ann(y))
-            if not is_hyperideal(ctx.ring, s) or not ctx.r_ok(s):
+            if s == 0 or not is_hyperideal(ctx.ring, s) or not ctx.r_ok(s):
                 return _ce(x=x, y=y, sum_set=s)
     return HOLDS, None
 
@@ -575,7 +577,7 @@ def _t08a(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     if not classify_ring(ctx.ring).reduced:
         return NOT_APPLICABLE, {"reason": "ring is not reduced"}
     minimals = [m for m in ctx.proper()
-                if is_minimal_nonzero(ctx.ring, m, ctx.enumeration_cap)]
+                if is_minimal_nonzero(ctx.ring, m, DEFAULT_ENUMERATION_CAP)]
     for p_mask in minimals:
         for s in _idempotents(ctx, rd):
             total = set_sum(ctx.ring, p_mask, ctx.ann(s))
@@ -642,7 +644,7 @@ def _t11(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
                 total &= p
             if ctx.r_ok(total) and not all(ctx.r_ok(p) for p in combo):
                 bad = next(p for p in combo if not ctx.r_ok(p))
-                return _ce(primes=[_elems(p) for p in combo],
+                return _ce(primes=[elements_of(p) for p in combo],
                            intersection_set=total, failing_set=bad)
     return HOLDS, None
 
@@ -659,13 +661,13 @@ def _t12(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
         return NOT_APPLICABLE, {"reason": "ring is not reduced"}
     max_r = ctx.maximal_of(ctx.r_class())
     for i_mask in ctx.r_class():
-        if is_essential(ctx.ring, i_mask, ctx.enumeration_cap):
+        if is_essential(ctx.ring, i_mask, DEFAULT_ENUMERATION_CAP):
             continue
         ok = any(is_subset(i_mask, p) and p in max_r
                  for p in ctx.minimal_primes(rd))
         if not ok:
             return _ce(ideal_set=i_mask,
-                       minimal_primes=[_elems(p) for p in ctx.minimal_primes(rd)])
+                       minimal_primes=[elements_of(p) for p in ctx.minimal_primes(rd)])
     return HOLDS, None
 
 
@@ -710,7 +712,7 @@ def _t13(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
                     continue
                 if not is_subset(i_mask, target):
                     return _ce(ideal_set=i_mask,
-                               cover=[_elems(m) for m in combo],
+                               cover=[elements_of(m) for m in combo],
                                r_member_set=target)
     return HOLDS, None
 
@@ -733,7 +735,7 @@ def _t14(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
                     continue
                 if not is_subset(i_mask, target):
                     return _ce(ideal_set=i_mask,
-                               cover=[_elems(m) for m in combo],
+                               cover=[elements_of(m) for m in combo],
                                prime_set=target)
     return HOLDS, None
 
@@ -790,7 +792,7 @@ def _t17(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
             if seed & s_mask:
                 continue
             for m in maximal_disjoint_masks(ctx.ring, s_mask, seed,
-                                            ctx.enumeration_cap):
+                                            DEFAULT_ENUMERATION_CAP):
                 if not ctx.r_ok(m):
                     return _ce(closed_set=s_mask, seed_set=seed, maximal_set=m)
     return HOLDS, None
@@ -814,8 +816,8 @@ def _t19(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     if not is_primary(ctx.ring, ctx.genzero(), MODE_RELAXED):
         return HOLDS, {"note": "zero ideal not primary; nothing to check"}
     if ctx.n_class() != ctx.r_class():
-        return _ce(n_class=[_elems(m) for m in ctx.n_class()],
-                   r_class=[_elems(m) for m in ctx.r_class()])
+        return _ce(n_class=[elements_of(m) for m in ctx.n_class()],
+                   r_class=[elements_of(m) for m in ctx.r_class()])
     return HOLDS, None
 
 
@@ -961,7 +963,7 @@ def _t29(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
         comp = ctx.ring.carrier_mask & ~i_mask
         left = ctx.is_n(i_mask)
         right = comp != 0 and is_n_mult_closed(ctx.ring, comp,
-                                               ctx.enumeration_cap)
+                                               DEFAULT_ENUMERATION_CAP)
         if left != right:
             return _ce(ideal_set=i_mask, is_n=left, complement_closed=right)
     return HOLDS, None
@@ -976,7 +978,7 @@ def _t30(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
             if seed & s_mask:
                 continue
             for m in maximal_disjoint_masks(ctx.ring, s_mask, seed,
-                                            ctx.enumeration_cap):
+                                            DEFAULT_ENUMERATION_CAP):
                 if not ctx.is_n(m):
                     return _ce(closed_set=s_mask, seed_set=seed, maximal_set=m)
     return HOLDS, None
@@ -1012,7 +1014,7 @@ def _t31(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
                         continue
                     if not is_subset(i_mask, target):
                         return _ce(ideal_set=i_mask,
-                                   cover=[_elems(m) for m in combo],
+                                   cover=[elements_of(m) for m in combo],
                                    n_member_set=target)
     return HOLDS, None
 
@@ -1026,7 +1028,7 @@ def _t32(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     if not flags.reduced:
         return NOT_APPLICABLE, {"reason": "ring is not reduced"}
     if not flags.integral_hyperdomain and ctx.n_class():
-        return _ce(part=1, n_class=[_elems(m) for m in ctx.n_class()])
+        return _ce(part=1, n_class=[elements_of(m) for m in ctx.n_class()])
     zero_is_n = ctx.genzero() in ctx.n_class()
     if zero_is_n != flags.integral_hyperdomain:
         return _ce(part=2, zero_is_n=zero_is_n,
@@ -1041,7 +1043,7 @@ def _t33(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     only_zero = ctx.n_class() == (ctx.genzero(),)
     integral = classify_ring(ctx.ring).integral_hyperdomain
     if only_zero != integral:
-        return _ce(n_class=[_elems(m) for m in ctx.n_class()],
+        return _ce(n_class=[elements_of(m) for m in ctx.n_class()],
                    integral=integral)
     return HOLDS, None
 
@@ -1083,7 +1085,7 @@ def _t35(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
                             or not src.is_n(pre):
                         return _ce(part=1, target=dst.ring.name,
                                    mapping=list(hom.mapping),
-                                   target_ideal=_elems(i2), preimage=_elems(pre))
+                                   target_ideal=elements_of(i2), preimage=elements_of(pre))
             if hom.surjective:
                 ker = hom.kernel
                 for i1 in src.n_class():
@@ -1093,7 +1095,7 @@ def _t35(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
                     if not is_hyperideal(dst.ring, img) or not dst.is_n(img):
                         return _ce(part=2, target=dst.ring.name,
                                    mapping=list(hom.mapping),
-                                   source_ideal=_elems(i1), image=_elems(img))
+                                   source_ideal=elements_of(i1), image=elements_of(img))
     return HOLDS, None
 
 
@@ -1105,11 +1107,9 @@ def _t36(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     rad = ctx.rad0()
     for j_mask in ctx.proper():
         try:
-            q = ctx.quotient_image(j_mask)
+            q, qctx = ctx.quotient_image(j_mask)
         except IllFormedQuotient as exc:
             return _ce(part="construction", ideal_set=j_mask, detail=str(exc))
-        qctx = RingContext(q.ring, ctx.enumeration_cap, ctx.gamma_cap,
-                           ctx.matrix_cap)
         for i_mask in ctx.proper():
             if not is_subset(j_mask, i_mask):
                 continue
@@ -1118,7 +1118,7 @@ def _t36(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
                 and is_hyperideal(q.ring, img) and qctx.is_n(img)
             if ctx.is_n(i_mask) and not img_is_n:
                 return _ce(part=1, ideal_set=i_mask, by_set=j_mask,
-                           image=_elems(img))
+                           image=elements_of(img))
             if img_is_n and is_subset(j_mask, rad) and not ctx.is_n(i_mask):
                 return _ce(part=2, ideal_set=i_mask, by_set=j_mask)
             if img_is_n and ctx.is_n(j_mask) and not ctx.is_n(i_mask):
@@ -1130,7 +1130,7 @@ def _t36(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
        "If the square-matrix ideal over a hyperideal is an n-ideal of the "
        "square-matrix structure, the hyperideal is an n-ideal of the base "
        "ring (base ring with scalar identity).",
-       requires_scalar_identity=True, requires_matrix=True)
+       requires_scalar_identity=True)
 def _t37(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     try:
         m2, mctx = ctx.matrix2()
@@ -1151,10 +1151,7 @@ def _t37(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
 def _t38(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     if not ctx.n_class():
         return HOLDS, None
-    for t_mask in subhyperring_masks(ctx.ring):
-        sub = subhyperring_restrict(ctx.ring, t_mask)
-        subctx = RingContext(sub.ring, ctx.enumeration_cap, ctx.gamma_cap,
-                             ctx.matrix_cap)
+    for t_mask, sub, subctx in ctx.subrings():
         for i_mask in ctx.n_class():
             if is_subset(t_mask, i_mask):
                 continue
@@ -1162,14 +1159,13 @@ def _t38(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
             if trace == 0 or not is_hyperideal(sub.ring, trace) \
                     or not subctx.is_n(trace):
                 return _ce(subring_set=t_mask, ideal_set=i_mask,
-                           trace=_elems(trace))
+                           trace=elements_of(trace))
     return HOLDS, None
 
 
 @entry("T39",
        "In a direct product, a rectangular ideal (a product of component "
-       "ideals) that is an n-ideal must be the whole ring.",
-       requires_product=True)
+       "ideals) that is an n-ideal must be the whole ring.")
 def _t39(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     sizes = product_factor_sizes(ctx.ring)
     if sizes is None:
@@ -1188,7 +1184,7 @@ def _t39(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
         if rect != i_mask:
             continue
         if ctx.is_n(i_mask):
-            return _ce(ideal_set=i_mask, left=_elems(left), right=_elems(right))
+            return _ce(ideal_set=i_mask, left=elements_of(left), right=elements_of(right))
     return HOLDS, None
 
 
@@ -1209,7 +1205,7 @@ def _t40(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
         left = ctx.is_n(i_mask)
         right = classical_n_ideal(fund.ring, image)
         if left != right:
-            return _ce(ideal_set=i_mask, image=_elems(image), is_n=left,
+            return _ce(ideal_set=i_mask, image=elements_of(image), is_n=left,
                        classical_n=right)
     return HOLDS, None
 
@@ -1259,8 +1255,8 @@ def _applicability(entry_: TheoremEntry, ctx: RingContext,
         return "standing assumption violated: some hyperideal is not a C-hyperideal"
     if entry_.requires_scalar_identity and not ctx.ring.scalar_identity:
         return "no scalar identity"
-    if entry_.requires_gamma and ctx.size > ctx.gamma_cap:
-        return f"gamma cap: carrier size {ctx.size} exceeds {ctx.gamma_cap}"
+    if entry_.requires_gamma and ctx.size > DEFAULT_GAMMA_CAP:
+        return f"gamma cap: carrier size {ctx.size} exceeds {DEFAULT_GAMMA_CAP}"
     return None
 
 
@@ -1297,6 +1293,7 @@ def run_theorem(entry_: TheoremEntry, ring: HyperRing,
                 context: Optional[RingContext] = None,
                 explore_readings: bool = True) -> TheoremVerdict:
     rd = reading or Reading()
+    axes = tuple(entry_.axes) + ("standing",)
     ctx = context or RingContext(ring)
     sweep = suite or Suite([ctx])
     start = time.perf_counter()
@@ -1310,7 +1307,6 @@ def run_theorem(entry_: TheoremEntry, ring: HyperRing,
     reading_results: dict[str, str] = {}
     sensitive = False
     if explore_readings:
-        axes = tuple(entry_.axes) + ("standing",)
         for combo in _reading_combos(entry_, rd):
             if combo == rd:
                 continue
@@ -1323,7 +1319,6 @@ def run_theorem(entry_: TheoremEntry, ring: HyperRing,
             if status == COUNTEREXAMPLE and alt_status == HOLDS:
                 sensitive = True
     elapsed = (time.perf_counter() - start) * 1000.0
-    axes = tuple(entry_.axes) + ("standing",)
     return TheoremVerdict(
         theorem=entry_.tid,
         ring=ring.name,
@@ -1381,28 +1376,19 @@ class SuiteReport:
 
 def run_suite(rings: list[HyperRing], only: Optional[set[str]] = None,
               reading: Optional[Reading] = None,
-              enumeration_cap: int = 16,
-              gamma_cap: int = DEFAULT_GAMMA_CAP,
-              matrix_cap: int = 16,
               explore_readings: bool = True,
               fail_fast: bool = False) -> SuiteReport:
     rd = reading or Reading()
-    contexts = [RingContext(r, enumeration_cap, gamma_cap, matrix_cap)
-                for r in rings]
+    contexts = [RingContext(r) for r in rings]
     sweep = Suite(contexts)
     entries = [e for e in REGISTRY if only is None or e.tid in only]
     verdicts: list[TheoremVerdict] = []
-    for entry_ in entries:
-        for ctx in contexts:
-            verdict = run_theorem(entry_, ctx.ring, rd, sweep, ctx,
-                                  explore_readings)
-            verdicts.append(verdict)
-            if fail_fast and verdict.status == COUNTEREXAMPLE:
-                return SuiteReport(
-                    readings={a: getattr(rd, a) for a in READING_AXES},
-                    rings=[c.ring.name for c in contexts],
-                    verdicts=verdicts,
-                )
+    for entry_, ctx in ((e, c) for e in entries for c in contexts):
+        verdict = run_theorem(entry_, ctx.ring, rd, sweep, ctx,
+                              explore_readings)
+        verdicts.append(verdict)
+        if fail_fast and verdict.status == COUNTEREXAMPLE:
+            break
     return SuiteReport(
         readings={a: getattr(rd, a) for a in READING_AXES},
         rings=[c.ring.name for c in contexts],

@@ -2,13 +2,16 @@
 
 import json
 from importlib import resources
+from itertools import product
 
 import pytest
 
 from hyperrings import theorems
-from hyperrings.core import CapExceeded
+from hyperrings.classifiers import is_prime
+from hyperrings.core import CapExceeded, HyperRingError, validate_hyperring
 from hyperrings.corpus import ordinary_ring, zn_with_products
-from hyperrings.construct import direct_product
+from hyperrings.construct import direct_product, quotient
+from hyperrings.ideals import ann, hyperideal_masks
 from hyperrings.theorems import (
     COUNTEREXAMPLE,
     HOLDS,
@@ -17,6 +20,7 @@ from hyperrings.theorems import (
     REGISTRY,
     REGISTRY_BY_ID,
     Reading,
+    RingContext,
     reading_from_flags,
     run_suite,
     run_theorem,
@@ -189,3 +193,75 @@ class TestSuite:
         assert report.counterexamples
         assert report.exit_status() == 1
         assert report.verdicts[-1].status == COUNTEREXAMPLE
+
+
+def small_hyperrings():
+    """Every valid commutative hyperring on Z2 and Z3.
+
+    Each element is 0, 1 or -1, so sign compatibility fixes every cell from
+    ``0o0``, ``0o1`` and ``1o1``: ``a o b = s_a s_b (|a| o |b|)``.  Those
+    three cells range over all nonempty subsets, and the validator drops
+    the tables that are not hyperrings.
+    """
+    rings = []
+    for n in (2, 3):
+        add = [[(a + b) % n for b in range(n)] for a in range(n)]
+        sign = {0: (0, 1), 1: (1, 1)}  # x = s * u with u in {0, 1}
+        if n == 3:
+            sign[2] = (1, -1)
+        subsets = [[x for x in range(n) if m >> x & 1] for m in range(1, 1 << n)]
+        for c00, c01, c11 in product(subsets, repeat=3):
+            base = {(0, 0): c00, (0, 1): c01, (1, 1): c11}
+
+            def cell(a, b):
+                (u, su), (v, sv) = sign[a], sign[b]
+                out = base[min(u, v), max(u, v)]
+                return sorted({(su * sv * x) % n for x in out})
+
+            hmul = [[cell(a, b) for b in range(n)] for a in range(n)]
+            try:
+                rings.append(validate_hyperring(f"Z{n}:{c00}{c01}{c11}", add, hmul))
+            except HyperRingError:
+                pass
+    return rings
+
+
+class TestSmallCorpus:
+    def test_counts(self):
+        sizes = [r.size for r in small_hyperrings()]
+        assert (sizes.count(2), sizes.count(3)) == (5, 24)
+
+    @pytest.mark.parametrize("standing", READING_AXES["standing"])
+    def test_registry_runs_on_every_small_ring(self, standing):
+        rings = small_hyperrings()
+        report = run_suite(rings, reading=Reading(standing=standing))
+        assert len(report.verdicts) == len(REGISTRY) * len(rings)
+        # Z2 with x o y = {0, 1} everywhere: every annihilator is empty, so
+        # the sum of two annihilators is empty and T07 cannot hold
+        [t07] = [v for v in report.verdicts
+                 if v.theorem == "T07" and v.ring == "Z2:[0, 1][0, 1][0, 1]"]
+        assert t07.status == COUNTEREXAMPLE
+        assert t07.witness["sum"] == []
+
+
+class TestContextReadsRing:
+    """``RingContext.primes`` and ``RingContext.ann`` read values cached on
+    the ring; the direct scans are their oracle."""
+
+    def test_against_direct_scans(self, default_corpus):
+        for base in default_corpus.rings:
+            rings = [base]
+            for m in hyperideal_masks(base, 16):
+                if m != base.carrier_mask:
+                    try:
+                        rings.append(quotient(base, m).ring)
+                    except HyperRingError:
+                        pass
+            for ring in rings:
+                ctx = RingContext(ring)
+                for mode in READING_AXES["prime_mode"]:
+                    assert ctx.primes(Reading(prime_mode=mode)) == tuple(
+                        m for m in ctx.proper() if is_prime(ring, m, mode))
+                if ring.commutative:  # checkers see only commutative rings
+                    for x in range(ring.size):
+                        assert ctx.ann(x) == ann(ring, x)
