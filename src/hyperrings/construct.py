@@ -21,10 +21,12 @@ from typing import Optional, Sequence
 
 from .bitsets import bits, elements_of, is_subset, mask_of, singleton
 from .core import (
+    ZERO_MASK,
     AxiomViolation,
     CapExceeded,
     HyperRing,
     HyperRingError,
+    cached_on_ring,
     hprod,
     set_sum,
     validate_hyperring,
@@ -32,6 +34,7 @@ from .core import (
 from .ideals import DEFAULT_ENUMERATION_CAP, is_hyperideal
 
 DEFAULT_GAMMA_CAP = 10
+HOM_CANDIDATE_CAP = 65536  # raw generator assignments one hom search may try
 
 
 class IllFormedQuotient(HyperRingError):
@@ -118,21 +121,30 @@ def quotient(ring: HyperRing, ideal: int, name: Optional[str] = None) -> Quotien
     proj = tuple(relabel[coset_of[x]] for x in range(n))
     k = len(coset_masks)
 
+    members = [bits(m) for m in coset_masks]
     add_q = [[0] * k for _ in range(k)]
     for i in range(k):
-        ri = bits(coset_masks[i])[0]
+        ri = members[i][0]
         for j in range(k):
-            rj = bits(coset_masks[j])[0]
-            add_q[i][j] = proj[ring.add[ri][rj]]
+            add_q[i][j] = proj[ring.add[ri][members[j][0]]]
 
+    # the classes a representative cell meets, lifted once per distinct cell
+    lift: dict[int, int] = {}
     hmul_q = [[None] * k for _ in range(k)]
     for i in range(k):
         for j in range(k):
-            value: Optional[frozenset[int]] = None
+            value: Optional[int] = None
             first_pair = None
-            for x in bits(coset_masks[i]):
-                for y in bits(coset_masks[j]):
-                    classes = frozenset(proj[t] for t in bits(ring.hmul[x][y]))
+            for x in members[i]:
+                row = ring.hmul[x]
+                for y in members[j]:
+                    cell = row[y]
+                    classes = lift.get(cell)
+                    if classes is None:
+                        classes = 0
+                        for t in bits(cell):
+                            classes |= 1 << proj[t]
+                        lift[cell] = classes
                     if value is None:
                         value = classes
                         first_pair = (x, y)
@@ -140,7 +152,7 @@ def quotient(ring: HyperRing, ideal: int, name: Optional[str] = None) -> Quotien
                         raise IllFormedQuotient(
                             f"cosets ({i},{j}): representatives {first_pair} "
                             f"and {(x, y)} lift to different class sets")
-            hmul_q[i][j] = sorted(value)
+            hmul_q[i][j] = elements_of(value)
 
     qname = name or f"{ring.name}/{{{','.join(map(str, elements_of(ideal)))}}}"
     out = validate_hyperring(
@@ -333,26 +345,50 @@ def check_good_homomorphism(mapping: Sequence[int], source: HyperRing,
 
 
 def _additive_generators(ring: HyperRing) -> list[int]:
-    """A small generating set of the additive group, found greedily."""
+    """A small generating set of the additive group, found greedily: the
+    least element outside the span of the generators so far is the next."""
+    add = ring.add
     gens: list[int] = []
-    span = {0}
-    while len(span) < ring.size:
-        x = min(set(range(ring.size)) - span)
+    span = [0]
+    seen = ZERO_MASK
+    for x in range(ring.size):
+        if seen >> x & 1:
+            continue
         gens.append(x)
-        changed = True
-        while changed:
-            changed = False
-            for a in list(span):
-                for g in gens:
-                    b = ring.add[a][g]
-                    if b not in span:
-                        span.add(b)
-                        changed = True
+        for a in span:  # the list grows while it is read: one closure pass
+            for g in gens:
+                b = add[a][g]
+                if not seen >> b & 1:
+                    seen |= 1 << b
+                    span.append(b)
     return gens
 
 
-def enumerate_good_homomorphisms(source: HyperRing, target: HyperRing,
-                                 candidate_cap: int = 65536) -> list[GoodHomomorphism]:
+@cached_on_ring
+def _hom_plan(source: HyperRing) -> tuple[tuple[int, ...], tuple, tuple]:
+    """The source side of the hom search: the greedy generators ``gens``,
+    then, by BFS from 0, the tree steps ``(b, a, i)`` that fill
+    ``f(b) = f(a) + f(gens[i])`` and the other ``(b, a, i)`` edges, on which
+    that equation must be checked."""
+    gens = _additive_generators(source)
+    steps: list[tuple[int, int, int]] = []
+    edges: list[tuple[int, int, int]] = []
+    seen = ZERO_MASK
+    queue = [0]
+    for a in queue:
+        for i, g in enumerate(gens):
+            b = source.add[a][g]
+            if seen >> b & 1:
+                edges.append((b, a, i))
+            else:
+                seen |= 1 << b
+                queue.append(b)
+                steps.append((b, a, i))
+    return tuple(gens), tuple(steps), tuple(edges)
+
+
+def enumerate_good_homomorphisms(source: HyperRing,
+                                 target: HyperRing) -> list[GoodHomomorphism]:
     """All good homomorphisms, found by assigning generator images.
 
     An additive map is fixed by the images of an additive generating set
@@ -362,41 +398,39 @@ def enumerate_good_homomorphisms(source: HyperRing, target: HyperRing,
     spanning tree of steps ``b = a + g`` from 0 and then checks
     ``f(a + g) = f(a) + f(g)`` on every other (element, generator) edge.
     That proves additivity: every y is a sum of generators, and induction on
-    that sum gives ``f(x + y) = f(x) + f(y)``.  Only the hyperproduct cells
-    are then compared, stopping at the first one that fails.
+    that sum gives ``f(x + y) = f(x) + f(y)``.  The generators, steps and
+    edges depend on the source alone and are kept on it.
+
+    Only the hyperproduct cells ``f(x o y) = f(x) o f(y)`` that can fail are
+    then compared, stopping at the first one that fails:
+
+    * when both rings are commutative, the cell ``(y, x)`` states the same
+      equation as ``(x, y)``, so only ``x <= y`` is scanned;
+    * when 0 absorbs on both sides in both rings (``0 o r = r o 0 = {0}``),
+      row 0 and column 0 read ``{0} = {0}``, because an additive map sends
+      0 to 0, so they are skipped.
+
     :func:`check_good_homomorphism` stays the public validator of a single
     map.  The cap counts the raw assignments, ``target.size ** len(gens)``,
     before any pruning.  Deterministic output order (lexicographic in the
     map table).
     """
-    gens = _additive_generators(source)
+    gens, steps, edges = _hom_plan(source)
     total = target.size ** len(gens)
-    if total > candidate_cap:
-        raise CapExceeded("homomorphism candidates", total, candidate_cap)
-    sadd, tadd, thmul = source.add, target.add, target.hmul
+    if total > HOM_CANDIDATE_CAP:
+        raise CapExceeded("homomorphism candidates", total, HOM_CANDIDATE_CAP)
+    tadd, thmul = target.add, target.hmul
     sord, tord = source.add_order, target.add_order
     choices = [[t for t in range(target.size) if sord[g] % tord[t] == 0]
                for g in gens]
-    # BFS from 0: tree steps (b, a, i) fill f(b) = f(a) + f(gens[i]); every
-    # other (a, i) pair becomes an edge to check
-    steps: list[tuple[int, int, int]] = []
-    edges: list[tuple[int, int, int]] = []
-    seen = {0}
-    queue = [0]
-    for a in queue:
-        for i, g in enumerate(gens):
-            b = sadd[a][g]
-            if b in seen:
-                edges.append((b, a, i))
-            else:
-                seen.add(b)
-                queue.append(b)
-                steps.append((b, a, i))
-    cells = [(x, y, bits(cell)) for x, row in enumerate(source.hmul)
-             for y, cell in enumerate(row)]
+    n = source.size
+    skip = int(source.absorb[0] == ZERO_MASK and target.absorb[0] == ZERO_MASK)
+    half = source.commutative and target.commutative
+    cells = [(x, y, bits(source.hmul[x][y])) for x in range(skip, n)
+             for y in range(x if half else skip, n)]
     found: list[GoodHomomorphism] = []
     for images in itertools.product(*choices):
-        f = [0] * source.size
+        f = [0] * n
         for b, a, i in steps:
             f[b] = tadd[f[a]][images[i]]
         if any(f[b] != tadd[f[a]][images[i]] for b, a, i in edges):

@@ -279,7 +279,12 @@ def prime_masks(ring: HyperRing, cap: Optional[int] = None) -> tuple[int, ...]:
 
 def radical(ring: HyperRing, ideal: int, cap: Optional[int] = None) -> int:
     """Intersection of all primes containing the ideal; the full carrier
-    when no prime contains it."""
+    when no prime contains it.
+
+    ``cap=None`` means :data:`DEFAULT_ENUMERATION_CAP`, and is passed on as
+    that number, so the primes cached for that cap are reused."""
+    if cap is None:
+        cap = DEFAULT_ENUMERATION_CAP
     out = ring.carrier_mask
     hit = False
     for p in prime_masks(ring, cap):

@@ -360,6 +360,18 @@ class Suite:
     def __init__(self, contexts: list[RingContext]):
         self.contexts = contexts
         self._hom_cache: dict[tuple[int, int], list[GoodHomomorphism]] = {}
+        self._alternates: dict[tuple, list[tuple[Reading, str]]] = {}
+
+    def alternates(self, axes: tuple[str, ...],
+                   base: Reading) -> list[tuple[Reading, str]]:
+        """The readings other than ``base`` that vary it on ``axes``, each
+        with its label; computed once per run for each (axes, base)."""
+        key = (axes, base)
+        if key not in self._alternates:
+            self._alternates[key] = [(rd, rd.label(axes))
+                                     for rd in _reading_combos(axes, base)
+                                     if rd != base]
+        return self._alternates[key]
 
     def homs(self, src: RingContext, dst: RingContext) -> list[GoodHomomorphism]:
         key = (id(src.ring), id(dst.ring))
@@ -1271,20 +1283,13 @@ def _evaluate(entry_: TheoremEntry, ctx: RingContext, rd: Reading,
         return NOT_APPLICABLE, {"reason": f"{exc.what} cap: {exc}"}
 
 
-def _reading_combos(entry_: TheoremEntry, base: Reading) -> list[Reading]:
-    axes = tuple(entry_.axes) + ("standing",)
+def _reading_combos(axes: tuple[str, ...], base: Reading) -> list[Reading]:
+    """Every reading that varies ``base`` on ``axes``, without repeats."""
     combos: list[Reading] = [base]
     for axis in axes:
-        extended = []
-        for rd in combos:
-            for value in READING_AXES[axis]:
-                extended.append(rd.with_flags(**{axis: value}))
-        combos = extended
-    seen = []
-    for rd in combos:
-        if rd not in seen:
-            seen.append(rd)
-    return seen
+        combos = [rd.with_flags(**{axis: value})
+                  for rd in combos for value in READING_AXES[axis]]
+    return list(dict.fromkeys(combos))
 
 
 def run_theorem(entry_: TheoremEntry, ring: HyperRing,
@@ -1307,11 +1312,9 @@ def run_theorem(entry_: TheoremEntry, ring: HyperRing,
     reading_results: dict[str, str] = {}
     sensitive = False
     if explore_readings:
-        for combo in _reading_combos(entry_, rd):
-            if combo == rd:
-                continue
+        for combo, label in sweep.alternates(axes, rd):
             alt_status, _ = _evaluate(entry_, ctx, combo, sweep)
-            reading_results[combo.label(axes)] = alt_status
+            reading_results[label] = alt_status
             # sensitive: some non-default reading flips between a decided
             # verdict and a counterexample
             if alt_status == COUNTEREXAMPLE and status != COUNTEREXAMPLE:

@@ -9,7 +9,8 @@ import pkgutil
 import pytest
 
 import hyperrings
-from hyperrings import ideals
+from hyperrings import classifiers, construct, ideals
+from hyperrings.bitsets import mask_of
 from hyperrings.core import CapExceeded
 from hyperrings.corpus import ordinary_ring, zn_with_products
 
@@ -37,6 +38,24 @@ class TestCachedOnRing:
         assert ideals.prime_masks(ring, 16) == first
         ideals.zero_radical(ring, 16)
         assert scans[0] == before
+
+    def test_radical_without_cap_reuses_the_default_cap_primes(self, monkeypatch):
+        ring = ordinary_ring(12)
+        ideals.prime_masks(ring, ideals.DEFAULT_ENUMERATION_CAP)
+        scans = counting(monkeypatch, ideals, "prime_witness")
+        six = mask_of([0, 6])
+        assert ideals.radical(ring, six) == six  # (2) and (3) contain it
+        assert ideals.zero_radical(ring) == six  # the nilradical of Z12
+        assert not classifiers.is_primary(ring, six)
+        assert scans[0] == 0
+
+    def test_hom_search_plans_each_source_once(self, monkeypatch):
+        source, target = ordinary_ring(6), ordinary_ring(3)
+        generators = counting(monkeypatch, construct, "_additive_generators")
+        first = construct.enumerate_good_homomorphisms(source, target)
+        assert construct.enumerate_good_homomorphisms(source, target) == first
+        construct.enumerate_good_homomorphisms(source, ordinary_ring(2))
+        assert generators[0] == 1
 
     def test_second_product_family_call_does_no_scan(self, monkeypatch):
         ring = zn_with_products(6, (5, 7))

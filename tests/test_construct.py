@@ -2,25 +2,31 @@
 fundamental ordinary-ring quotient."""
 
 import itertools
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperrings.bitsets import elements_of, is_subset, mask_of, singleton
+from hyperrings.bitsets import bits, elements_of, is_subset, mask_of, singleton
 from hyperrings.core import (
+    ZERO_MASK,
     AxiomViolation,
     CapExceeded,
     HyperRing,
+    HyperRingError,
     set_sum,
     validate_hyperring,
 )
 from hyperrings.corpus import ordinary_ring
 from hyperrings.construct import (
+    HOM_CANDIDATE_CAP,
+    IllFormedQuotient,
     NotAdditive,
     NotClosed,
     NotMultiplicative,
     OrdinaryRing,
+    QuotientImage,
     UnionFind,
     _additive_generators,
     check_good_homomorphism,
@@ -74,6 +80,95 @@ class TestQuotient:
     def test_requires_hyperideal(self, z4):
         with pytest.raises(ValueError):
             quotient(z4, mask_of([0, 1]))
+
+
+def frozenset_quotient(ring: HyperRing, ideal: int,
+                       name: Optional[str] = None) -> QuotientImage:
+    """:func:`quotient` as first written, lifting every representative cell
+    to a frozenset of classes; the oracle for the mask lift."""
+    if not is_hyperideal(ring, ideal):
+        raise ValueError("quotient requires a hyperideal")
+    n = ring.size
+    coset_of: list[Optional[int]] = [None] * n
+    coset_masks: list[int] = []
+    for x in range(n):
+        if coset_of[x] is not None:
+            continue
+        cmask = set_sum(ring, singleton(x), ideal)
+        idx = len(coset_masks)
+        coset_masks.append(cmask)
+        for y in bits(cmask):
+            coset_of[y] = idx
+    # canonical order: sort classes by least member (the zero coset is first)
+    order = sorted(range(len(coset_masks)), key=lambda i: coset_masks[i] & -coset_masks[i])
+    relabel = {old: new for new, old in enumerate(order)}
+    coset_masks = [coset_masks[i] for i in order]
+    proj = tuple(relabel[coset_of[x]] for x in range(n))
+    k = len(coset_masks)
+
+    add_q = [[0] * k for _ in range(k)]
+    for i in range(k):
+        ri = bits(coset_masks[i])[0]
+        for j in range(k):
+            rj = bits(coset_masks[j])[0]
+            add_q[i][j] = proj[ring.add[ri][rj]]
+
+    hmul_q = [[None] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            value: Optional[frozenset[int]] = None
+            first_pair = None
+            for x in bits(coset_masks[i]):
+                for y in bits(coset_masks[j]):
+                    classes = frozenset(proj[t] for t in bits(ring.hmul[x][y]))
+                    if value is None:
+                        value = classes
+                        first_pair = (x, y)
+                    elif classes != value:
+                        raise IllFormedQuotient(
+                            f"cosets ({i},{j}): representatives {first_pair} "
+                            f"and {(x, y)} lift to different class sets")
+            hmul_q[i][j] = sorted(value)
+
+    qname = name or f"{ring.name}/{{{','.join(map(str, elements_of(ideal)))}}}"
+    out = validate_hyperring(
+        qname, add_q, hmul_q,
+        require_commutative=ring.commutative,
+        provenance={"construction": "quotient", "source": ring.name,
+                    "params": ",".join(map(str, elements_of(ideal)))},
+    )
+    return QuotientImage(ring=out, projection=proj, source_name=ring.name, ideal=ideal)
+
+
+def quotient_outcome(build, ring: HyperRing, ideal: int):
+    try:
+        return build(ring, ideal)
+    except HyperRingError as exc:
+        return type(exc), str(exc)
+
+
+class TestQuotientOracle:
+    def test_matches_frozenset_lift(self, default_corpus, small_corpus):
+        cases = [(ring, m) for ring in [*default_corpus.rings, *small_corpus]
+                 for m in hyperideal_masks(ring)]
+        for ring, m in cases:
+            got = quotient_outcome(quotient, ring, m)
+            assert got == quotient_outcome(frozenset_quotient, ring, m), (ring.name, m)
+            assert isinstance(got, QuotientImage)  # validated input never raises
+
+    def test_ill_formed_lift_raises_the_same_message(self, z4):
+        # tables that were never validated (on a hyperring the lift always
+        # agrees): the cosets {0, 2}, {1, 3} see 1 o 1 = {1} but 1 o 3 = {0}
+        hmul = [[ZERO_MASK] * 4 for _ in range(4)]
+        hmul[1][1] = singleton(1)
+        ring = HyperRing(name="bad", size=4, add=z4.add,
+                         hmul=tuple(map(tuple, hmul)), identity=None,
+                         scalar_identity=False)
+        even = mask_of([0, 2])
+        got = quotient_outcome(quotient, ring, even)
+        assert got == quotient_outcome(frozenset_quotient, ring, even)
+        assert got == (IllFormedQuotient, "cosets (1,1): representatives (1, 1) "
+                                          "and (1, 3) lift to different class sets")
 
 
 class TestDirectProduct:
@@ -163,6 +258,18 @@ class TestGoodHomomorphisms:
         homs = enumerate_good_homomorphisms(z4, z2)
         assert [h.mapping for h in homs] == [(0, 0, 0, 0), (0, 1, 0, 1)]
 
+    def test_candidate_cap_raises(self, z2):
+        # Z2^4 has 4 greedy generators: 17^4 = 83,521 raw assignments
+        z2_2 = direct_product(z2, z2)
+        z2_3 = direct_product(z2_2, z2)
+        z2_4 = direct_product(z2_2, z2_2)
+        z17 = ordinary_ring(17)
+        with pytest.raises(CapExceeded) as exc:
+            enumerate_good_homomorphisms(z2_4, z17)
+        assert (exc.value.value, exc.value.cap) == (17 ** 4, HOM_CANDIDATE_CAP)
+        [zero] = enumerate_good_homomorphisms(z2_3, z17)  # 17^3 is under the cap
+        assert zero.mapping == (0,) * 8
+
     def test_image_and_preimage(self, z4, z2):
         hom = check_good_homomorphism([0, 1, 0, 1], z4, z2)
         assert hom.image_mask(mask_of([0, 2])) == mask_of([0])
@@ -194,6 +301,15 @@ def brute_force_homs(source: HyperRing, target: HyperRing) -> list[tuple[int, ..
     return found
 
 
+def klein_ring(name: str, big) -> HyperRing:
+    """The Klein four-group ``x + y = x xor y`` with ``x o y`` the whole
+    carrier where ``big(x, y)``, else ``{0}``."""
+    add = [[a ^ b for b in range(4)] for a in range(4)]
+    hmul = [[[0, 1, 2, 3] if big(x, y) else [0] for y in range(4)]
+            for x in range(4)]
+    return validate_hyperring(name, add, hmul, require_commutative=False)
+
+
 @pytest.fixture(scope="module")
 def z4_swapped(z4):
     # labels 1 and 2 swapped: the greedy generators 1 and 2 have additive
@@ -211,6 +327,24 @@ class TestHomEnumerationOracle:
         pairs = [(s, t) for s in rings for t in rings
                  if t.size ** s.size <= 1024]
         assert len(pairs) == 607 + 31  # corpus pairs, then those with z4_swapped
+        for source, target in pairs:
+            got = [h.mapping for h in enumerate_good_homomorphisms(source, target)]
+            assert got == brute_force_homs(source, target), (source.name, target.name)
+
+    def test_matches_brute_force_on_small_rings(self, small_corpus):
+        # the cases where every hyperproduct cell must be compared: 19 of the
+        # 29 small rings have a zero that does not absorb, and the rest are
+        # not commutative or map into a ring that is not; on the two Klein
+        # rings a scan of x <= y alone accepts non-homomorphisms both ways
+        assert sum(r.absorb[0] != ZERO_MASK for r in small_corpus) == 19
+        left, both = klein_ring("left", lambda x, y: x >= 2), \
+            klein_ring("both", lambda x, y: x >= 2 and y >= 2)
+        assert not left.commutative and both.commutative
+        triangular = [_triangular_z2_with_products(a_set) for a_set in
+                      (((1, 0, 1),), ((1, 0, 0), (1, 0, 1)), ((1, 0, 1), (1, 1, 1)))]
+        rings = [*small_corpus, *triangular, left, both]
+        pairs = [(s, t) for s in rings for t in rings if t.size ** s.size <= 1024]
+        assert len(pairs) == 29 * 29 + 3 * (29 + 5) + 2 * (29 + 29 + 2)
         for source, target in pairs:
             got = [h.mapping for h in enumerate_good_homomorphisms(source, target)]
             assert got == brute_force_homs(source, target), (source.name, target.name)

@@ -2,13 +2,12 @@
 
 import json
 from importlib import resources
-from itertools import product
 
 import pytest
 
 from hyperrings import theorems
 from hyperrings.classifiers import is_prime
-from hyperrings.core import CapExceeded, HyperRingError, validate_hyperring
+from hyperrings.core import CapExceeded, HyperRingError
 from hyperrings.corpus import ordinary_ring, zn_with_products
 from hyperrings.construct import direct_product, quotient
 from hyperrings.ideals import ann, hyperideal_masks
@@ -186,6 +185,22 @@ class TestSuite:
         timed = report.to_obj(include_timings=True)
         assert "wall_ms" in timed["verdicts"][0]
 
+    def test_alternate_readings_built_once_per_run(self, z2, z4, z6,
+                                                   monkeypatch):
+        calls = []
+        original = theorems._reading_combos
+
+        def counted(axes, base):
+            calls.append(axes)
+            return original(axes, base)
+
+        monkeypatch.setattr(theorems, "_reading_combos", counted)
+        # T18 and T33 vary the same axes, T02 adds `regular`
+        report = run_suite([z2, z4, z6], only={"T02", "T18", "T33"})
+        assert len(report.verdicts) == 9
+        assert sorted(calls) == [("regular", "standing"), ("standing",)]
+        assert all(v.reading_results for v in report.verdicts)
+
     def test_fail_fast_stops_early(self):
         ring = zn_with_products(4, (2, 3))
         report = run_suite([ring], reading=Reading(standing="waived"),
@@ -195,45 +210,14 @@ class TestSuite:
         assert report.verdicts[-1].status == COUNTEREXAMPLE
 
 
-def small_hyperrings():
-    """Every valid commutative hyperring on Z2 and Z3.
-
-    Each element is 0, 1 or -1, so sign compatibility fixes every cell from
-    ``0o0``, ``0o1`` and ``1o1``: ``a o b = s_a s_b (|a| o |b|)``.  Those
-    three cells range over all nonempty subsets, and the validator drops
-    the tables that are not hyperrings.
-    """
-    rings = []
-    for n in (2, 3):
-        add = [[(a + b) % n for b in range(n)] for a in range(n)]
-        sign = {0: (0, 1), 1: (1, 1)}  # x = s * u with u in {0, 1}
-        if n == 3:
-            sign[2] = (1, -1)
-        subsets = [[x for x in range(n) if m >> x & 1] for m in range(1, 1 << n)]
-        for c00, c01, c11 in product(subsets, repeat=3):
-            base = {(0, 0): c00, (0, 1): c01, (1, 1): c11}
-
-            def cell(a, b):
-                (u, su), (v, sv) = sign[a], sign[b]
-                out = base[min(u, v), max(u, v)]
-                return sorted({(su * sv * x) % n for x in out})
-
-            hmul = [[cell(a, b) for b in range(n)] for a in range(n)]
-            try:
-                rings.append(validate_hyperring(f"Z{n}:{c00}{c01}{c11}", add, hmul))
-            except HyperRingError:
-                pass
-    return rings
-
-
 class TestSmallCorpus:
-    def test_counts(self):
-        sizes = [r.size for r in small_hyperrings()]
+    def test_counts(self, small_corpus):
+        sizes = [r.size for r in small_corpus]
         assert (sizes.count(2), sizes.count(3)) == (5, 24)
 
     @pytest.mark.parametrize("standing", READING_AXES["standing"])
-    def test_registry_runs_on_every_small_ring(self, standing):
-        rings = small_hyperrings()
+    def test_registry_runs_on_every_small_ring(self, standing, small_corpus):
+        rings = small_corpus
         report = run_suite(rings, reading=Reading(standing=standing))
         assert len(report.verdicts) == len(REGISTRY) * len(rings)
         # Z2 with x o y = {0, 1} everywhere: every annihilator is empty, so
