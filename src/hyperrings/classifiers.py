@@ -20,18 +20,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .bitsets import bits, is_subset, singleton, subset_key
+from .bitsets import is_subset, singleton, subset_key
 from .core import (
     HyperRing,
     HyperRingError,
     NoIdentity,
     ZERO_MASK,
+    cached_on_ring,
+    hprod,
 )
 from .ideals import (
     IdealProfile,
     hyperideal_masks,
     is_C_hyperideal,
+    law_witness,
     prime_condition_holds,
+    prime_masks,
     prime_witness,
     profile,
     radical,
@@ -66,14 +70,11 @@ def is_prime(ring: HyperRing, members: int, mode: str = MODE_RELAXED) -> bool:
 
 
 def primary_witness(ring: HyperRing, members: int) -> Optional[tuple[int, int]]:
-    rad = radical(ring, members)
-    for x in range(ring.size):
-        xin = bool(members & singleton(x))
-        for y in range(ring.size):
-            if is_subset(ring.hmul[x][y], members):
-                if not xin and not rad & singleton(y):
-                    return (x, y)
-    return None
+    """Least (x, y) with x outside the ideal, y outside its radical and
+    ``x o y`` inside the ideal."""
+    full = ring.carrier_mask
+    return law_witness(ring, members, full & ~members,
+                       full & ~radical(ring, members))
 
 
 def is_primary(ring: HyperRing, members: int, mode: str = MODE_RELAXED) -> bool:
@@ -87,15 +88,8 @@ def is_primary(ring: HyperRing, members: int, mode: str = MODE_RELAXED) -> bool:
 def r_witness(ring: HyperRing, members: int,
               regular: str = REGULAR_NZD) -> Optional[tuple[int, int]]:
     """Least (x, y) with x regular, ``x o y`` inside the ideal, y outside."""
-    reg = regular_mask(ring, regular)
-    for x in bits(reg):
-        row = ring.hmul[x]
-        for y in range(ring.size):
-            if members & singleton(y):
-                continue
-            if is_subset(row[y], members):
-                return (x, y)
-    return None
+    return law_witness(ring, members, regular_mask(ring, regular),
+                       ring.carrier_mask & ~members)
 
 
 def r_closure_holds(ring: HyperRing, members: int,
@@ -118,17 +112,11 @@ def is_r_hyperideal(ring: HyperRing, members: int, mode: str = MODE_RELAXED,
 
 def n_witness(ring: HyperRing, members: int,
               cap: Optional[int] = None) -> Optional[tuple[int, int]]:
-    rad0 = zero_radical(ring, cap)
-    for x in range(ring.size):
-        if rad0 & singleton(x):
-            continue
-        row = ring.hmul[x]
-        for y in range(ring.size):
-            if members & singleton(y):
-                continue
-            if is_subset(row[y], members):
-                return (x, y)
-    return None
+    """Least (x, y) with x outside the radical of zero, ``x o y`` inside the
+    ideal, y outside."""
+    full = ring.carrier_mask
+    return law_witness(ring, members, full & ~zero_radical(ring, cap),
+                       full & ~members)
 
 
 def is_n_hyperideal(ring: HyperRing, members: int, mode: str = MODE_RELAXED,
@@ -147,29 +135,41 @@ CLASS_R = "r_ideal"
 CLASS_N = "n_ideal"
 
 
+@cached_on_ring
 def class_members(ring: HyperRing, which: str, mode: str = MODE_RELAXED,
                   regular: str = REGULAR_NZD,
-                  cap: Optional[int] = None) -> list[int]:
+                  cap: Optional[int] = None) -> tuple[int, ...]:
     """Proper hyperideals of the requested class, in canonical order."""
-    proper = [m for m in hyperideal_masks(ring, cap) if m != ring.carrier_mask]
+    if which == CLASS_PRIME:
+        primes = prime_masks(ring, cap)
+        if mode == MODE_STRICT:
+            return tuple(m for m in primes if m != ZERO_MASK)
+        return primes
+    proper = tuple(m for m in hyperideal_masks(ring, cap)
+                   if m != ring.carrier_mask)
     if which == CLASS_HYPERIDEAL:
         return proper
-    if which == CLASS_PRIME:
-        return [m for m in proper if is_prime(ring, m, mode)]
     if which == CLASS_R:
-        return [m for m in proper if r_closure_holds(ring, m, regular)]
+        return tuple(m for m in proper if r_closure_holds(ring, m, regular))
     if which == CLASS_N:
-        return [m for m in proper if is_n_hyperideal(ring, m, mode)]
+        return tuple(m for m in proper if is_n_hyperideal(ring, m, mode, cap))
     raise ValueError(f"unknown ideal class {which!r}")
+
+
+def maximal_members(family: tuple[int, ...],
+                    minimal: bool = False) -> tuple[int, ...]:
+    """The members of the family inside no other member, in family order;
+    with ``minimal``, the members containing no other member."""
+    return tuple(m for m in family if not any(
+        o != m and (is_subset(o, m) if minimal else is_subset(m, o))
+        for o in family))
 
 
 def is_maximal_in_class(ring: HyperRing, members: int, which: str,
                         mode: str = MODE_RELAXED, regular: str = REGULAR_NZD,
                         cap: Optional[int] = None) -> bool:
-    family = class_members(ring, which, mode, regular, cap)
-    if members not in family:
-        return False
-    return not any(m != members and is_subset(members, m) for m in family)
+    return members in maximal_members(
+        class_members(ring, which, mode, regular, cap))
 
 
 def is_minimal_nonzero(ring: HyperRing, members: int,
@@ -183,11 +183,11 @@ def is_minimal_nonzero(ring: HyperRing, members: int,
     return True
 
 
+@cached_on_ring
 def minimal_primes(ring: HyperRing, mode: str = MODE_RELAXED,
-                   cap: Optional[int] = None) -> list[int]:
-    primes = class_members(ring, CLASS_PRIME, mode, cap=cap)
-    return [p for p in primes
-            if not any(q != p and is_subset(q, p) for q in primes)]
+                   cap: Optional[int] = None) -> tuple[int, ...]:
+    return maximal_members(
+        class_members(ring, CLASS_PRIME, mode, REGULAR_NZD, cap), minimal=True)
 
 
 def is_essential(ring: HyperRing, members: int, cap: Optional[int] = None) -> bool:
@@ -204,14 +204,7 @@ def is_essential(ring: HyperRing, members: int, cap: Optional[int] = None) -> bo
 
 def is_mult_closed(ring: HyperRing, subset: int) -> bool:
     """Plain multiplicative closure: ``a o b`` stays inside for a, b in S."""
-    if subset == 0:
-        return False
-    for a in bits(subset):
-        row = ring.hmul[a]
-        for b in bits(subset):
-            if not is_subset(row[b], subset):
-                return False
-    return True
+    return subset != 0 and is_subset(hprod(ring, subset, subset), subset)
 
 
 def is_r_mult_closed(ring: HyperRing, subset: int, regular: str = REGULAR_NZD,
@@ -238,12 +231,7 @@ def is_r_mult_closed(ring: HyperRing, subset: int, regular: str = REGULAR_NZD,
     extra = reg & ~singleton(e)
     if not subset & extra and not (lenient and extra == 0):
         return False
-    for r in bits(reg & subset):
-        row = ring.hmul[r]
-        for a in bits(subset):
-            if not is_subset(row[a], subset):
-                return False
-    return True
+    return is_subset(hprod(ring, reg & subset, subset), subset)
 
 
 def is_n_mult_closed(ring: HyperRing, subset: int,
@@ -253,14 +241,8 @@ def is_n_mult_closed(ring: HyperRing, subset: int,
     if subset == 0:
         return False
     outside = ring.carrier_mask & ~zero_radical(ring, cap)
-    if not is_subset(outside, subset):
-        return False
-    for a in bits(outside):
-        row = ring.hmul[a]
-        for b in bits(subset):
-            if not is_subset(row[b], subset):
-                return False
-    return True
+    return is_subset(outside, subset) \
+        and is_subset(hprod(ring, outside, subset), subset)
 
 
 def maximal_disjoint_masks(ring: HyperRing, subset: int, seed: int,
@@ -269,10 +251,9 @@ def maximal_disjoint_masks(ring: HyperRing, subset: int, seed: int,
     maximal under inclusion among such."""
     if seed & subset:
         raise NotDisjoint("seed ideal meets the closed subset")
-    family = [m for m in hyperideal_masks(ring, cap)
-              if is_subset(seed, m) and not m & subset]
-    return [m for m in family
-            if not any(o != m and is_subset(m, o) for o in family)]
+    return list(maximal_members(tuple(
+        m for m in hyperideal_masks(ring, cap)
+        if is_subset(seed, m) and not m & subset)))
 
 
 def maximal_disjoint_ideal(ring: HyperRing, subset: int, seed: int,

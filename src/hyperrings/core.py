@@ -13,6 +13,7 @@ in this package is a pure function of its inputs.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import Callable, Iterable, Optional, Sequence
@@ -87,8 +88,15 @@ class HyperRing:
     * ``absorb``: ``absorb[x]`` is the union over all r of ``r o x`` and
       ``x o r``, which every hyperideal containing x must contain;
     * ``flags``: the :class:`RingFlags` that :func:`classify_ring` returns.
-    * ``product_family`` and ``prime_masks`` (per cap) of
-      :mod:`hyperrings.ideals`, kept here by :func:`cached_on_ring`.
+
+    Functions of the ring kept here by :func:`cached_on_ring`, once per
+    argument list; each returns an immutable value:
+
+    * ``hyperideal_masks``, ``product_family``, ``prime_masks`` and
+      ``zero_radical`` of :mod:`hyperrings.ideals`;
+    * ``class_members`` and ``minimal_primes`` of
+      :mod:`hyperrings.classifiers`;
+    * the good-homomorphism search plan of :mod:`hyperrings.construct`.
     """
 
     name: str
@@ -215,18 +223,35 @@ class HyperRing:
         return f"HyperRing({self.name!r}, size={self.size})"
 
 
+CacheInfo = namedtuple("CacheInfo", "hits misses")
+_KEYWORDS = object()  # separates positional from keyword arguments in a key
+
+
 def cached_on_ring(fn: Callable) -> Callable:
     """Decorator keeping ``fn(ring, ...)`` on the ring, once per argument list.
 
     The values live in the ring's instance dict, like a cached property's,
-    so equality and hashing do not see them; an exception is not kept."""
+    so equality and hashing do not see them, under the function's dotted
+    name, which no attribute can have; an exception is not kept.  As with
+    :func:`functools.lru_cache`, ``f(r, 16)`` and ``f(r, cap=16)`` are two
+    argument lists, and ``cache_info()`` counts hits and misses (calls of
+    ``fn``) over all rings."""
+    slot = f"{fn.__module__}.{fn.__qualname__}"
+    counts = [0, 0]
+
     @wraps(fn)
     def cached(ring: HyperRing, *args, **kwargs):
-        memo = ring.__dict__.setdefault(fn.__name__, {})
-        key = (args, tuple(sorted(kwargs.items())))
-        if key not in memo:
+        memo = ring.__dict__.get(slot)
+        if memo is None:
+            memo = ring.__dict__[slot] = {}
+        key = args + (_KEYWORDS, *kwargs.items()) if kwargs else args
+        if key in memo:
+            counts[0] += 1
+        else:
+            counts[1] += 1
             memo[key] = fn(ring, *args, **kwargs)
         return memo[key]
+    cached.cache_info = lambda: CacheInfo(*counts)
     return cached
 
 

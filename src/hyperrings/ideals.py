@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from .bitsets import bits, is_subset, singleton, subset_key
@@ -113,7 +112,7 @@ def generated_ideal(ring: HyperRing, gens: int) -> IdealProfile:
     return profile(ring, generated_ideal_mask(ring, gens))
 
 
-@lru_cache(maxsize=None)
+@cached_on_ring
 def hyperideal_masks(ring: HyperRing, cap: Optional[int] = None) -> tuple[int, ...]:
     """All hyperideals of the ring, sorted by cardinality then mask.
 
@@ -247,16 +246,25 @@ def ann_of_set(ring: HyperRing, mask: int) -> int:
     return out
 
 
-def prime_witness(ring: HyperRing, members: int) -> Optional[tuple[int, int]]:
-    """Least pair (x, y) outside the ideal whose product lies inside it."""
+def law_witness(ring: HyperRing, members: int, xs: int,
+                ys: int) -> Optional[tuple[int, int]]:
+    """Least pair (x, y) with x in ``xs``, y in ``ys`` and ``x o y`` inside
+    the ideal: the one scan behind every law of the form "``x o y`` inside I
+    and x in X force y into Y"."""
     hm = ring.hmul
-    outside = bits(ring.carrier_mask & ~members)
-    for x in outside:
+    right = bits(ys)
+    for x in bits(xs):
         row = hm[x]
-        for y in outside:
+        for y in right:
             if is_subset(row[y], members):
                 return (x, y)
     return None
+
+
+def prime_witness(ring: HyperRing, members: int) -> Optional[tuple[int, int]]:
+    """Least pair (x, y) outside the ideal whose product lies inside it."""
+    outside = ring.carrier_mask & ~members
+    return law_witness(ring, members, outside, outside)
 
 
 def prime_condition_holds(ring: HyperRing, members: int) -> bool:
@@ -303,5 +311,6 @@ def radical_via_powers(ring: HyperRing, ideal: int) -> int:
     return out
 
 
+@cached_on_ring
 def zero_radical(ring: HyperRing, cap: Optional[int] = None) -> int:
     return radical(ring, ZERO_MASK, cap)

@@ -50,8 +50,14 @@ from .core import (
     set_sum,
 )
 from .classifiers import (
+    CLASS_HYPERIDEAL,
+    CLASS_N,
+    CLASS_PRIME,
+    CLASS_R,
     MODE_RELAXED,
     MODE_STRICT,
+    REGULAR_NZD,
+    class_members,
     is_essential,
     is_minimal_nonzero,
     is_n_hyperideal,
@@ -60,8 +66,11 @@ from .classifiers import (
     is_primary,
     is_r_mult_closed,
     maximal_disjoint_masks,
+    maximal_members,
+    minimal_primes,
     r_closure_holds,
     r_witness,
+    regular_mask,
 )
 from .construct import (
     DEFAULT_GAMMA_CAP,
@@ -90,7 +99,6 @@ from .ideals import (
     ideal_product,
     is_C_hyperideal,
     is_hyperideal,
-    prime_masks,
     set_product,
     zero_radical,
 )
@@ -150,10 +158,12 @@ def reading_from_flags(flags: dict[str, str]) -> Reading:
 class RingContext:
     """The registry's view of one ring, shared by all registry entries.
 
-    A derived value that a library function in ``core``, ``ideals`` or
-    ``classifiers`` reads is cached on the :class:`HyperRing`, and read from
-    there.  A value only the registry reads is memoised here; so are the
-    quotient and subring images with their contexts, for the whole sweep.
+    Ideal families and the radical of zero come, at the cap
+    :data:`DEFAULT_ENUMERATION_CAP`, from the library functions that define
+    them, which keep them on the :class:`HyperRing`.  Only registry-specific
+    values are memoised here: the standing gate, the candidate-subset
+    families, colons, the per-mask ``is_n``/``r_ok`` verdicts, and derived
+    constructions with their contexts, for the whole sweep.
     """
 
     def __init__(self, ring: HyperRing):
@@ -175,20 +185,17 @@ class RingContext:
         return self.ring.identity
 
     def ideals(self) -> tuple[int, ...]:
-        return self._memo("ideals", lambda: hyperideal_masks(
-            self.ring, DEFAULT_ENUMERATION_CAP))
+        return hyperideal_masks(self.ring, DEFAULT_ENUMERATION_CAP)
 
     def proper(self) -> tuple[int, ...]:
-        return self._memo("proper", lambda: tuple(
-            m for m in self.ideals() if m != self.ring.carrier_mask))
+        return self._class(CLASS_HYPERIDEAL, MODE_RELAXED)
 
     def genzero(self) -> int:
         return self._memo("genzero",
                           lambda: generated_ideal_mask(self.ring, ZERO_MASK))
 
     def rad0(self) -> int:
-        return self._memo("rad0", lambda: zero_radical(
-            self.ring, DEFAULT_ENUMERATION_CAP))
+        return zero_radical(self.ring, DEFAULT_ENUMERATION_CAP)
 
     def standing_ok(self) -> bool:
         def compute() -> bool:
@@ -199,7 +206,7 @@ class RingContext:
 
     # -- element sets -------------------------------------------------------
     def reg(self, rd: Reading) -> int:
-        return self.ring.nzd if rd.regular == "nzd" else self.ring.vnr
+        return regular_mask(self.ring, rd.regular)
 
     # -- classifications ----------------------------------------------------
     def is_n(self, members: int) -> bool:
@@ -211,28 +218,22 @@ class RingContext:
         key = ("r_ok", members)
         return self._memo(key, lambda: r_closure_holds(self.ring, members))
 
+    def _class(self, which: str, mode: str) -> tuple[int, ...]:
+        return class_members(self.ring, which, mode, REGULAR_NZD,
+                             DEFAULT_ENUMERATION_CAP)
+
     def n_class(self) -> tuple[int, ...]:
-        return self._memo("n_class", lambda: tuple(
-            m for m in self.proper() if self.is_n(m)))
+        return self._class(CLASS_N, MODE_RELAXED)
 
     def r_class(self) -> tuple[int, ...]:
-        return self._memo("r_class", lambda: tuple(
-            m for m in self.proper() if self.r_ok(m)))
+        return self._class(CLASS_R, MODE_RELAXED)
 
     def primes(self, rd: Reading) -> tuple[int, ...]:
-        primes = prime_masks(self.ring, DEFAULT_ENUMERATION_CAP)
-        if rd.prime_mode == MODE_STRICT:
-            return tuple(m for m in primes if m != ZERO_MASK)
-        return primes
+        return self._class(CLASS_PRIME, rd.prime_mode)
 
     def minimal_primes(self, rd: Reading) -> tuple[int, ...]:
-        primes = self.primes(rd)
-        return tuple(p for p in primes
-                     if not any(q != p and is_subset(q, p) for q in primes))
-
-    def maximal_of(self, family: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(m for m in family
-                     if not any(o != m and is_subset(m, o) for o in family))
+        return minimal_primes(self.ring, rd.prime_mode,
+                              DEFAULT_ENUMERATION_CAP)
 
     # -- arithmetic ----------------------------------------------------------
     def prod(self, rd: Reading, left: int, right: int) -> int:
@@ -276,9 +277,7 @@ class RingContext:
             if nonrad:
                 m = nonrad
                 while True:
-                    grown = m
-                    for a in bits(nonrad):
-                        grown |= hprod(self.ring, singleton(a), m)
+                    grown = m | hprod(self.ring, nonrad, m)
                     if grown == m:
                         break
                     m = grown
@@ -401,6 +400,21 @@ def _ce(**kw) -> CheckResult:
     return COUNTEREXAMPLE, witness
 
 
+def _factor_witness(ctx: RingContext, i_mask: int,
+                    meets: int) -> Optional[tuple[int, int]]:
+    """Least ideals (A, B) with A meeting ``meets``, ``A o B`` inside I and B
+    not: the ideal form of the r-law (T01) and of the n-law (T22)."""
+    all_ideals = ctx.ideals()
+    for a_mask in all_ideals:
+        if not a_mask & meets:
+            continue
+        for b_mask in all_ideals:
+            if is_subset(set_product(ctx.ring, a_mask, b_mask), i_mask) \
+                    and not is_subset(b_mask, i_mask):
+                return a_mask, b_mask
+    return None
+
+
 # --- r-hyperideal basics (T01..T08) ----------------------------------------
 
 
@@ -418,20 +432,8 @@ def _t01(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     # part 1: the equivalence, for every proper ideal
     for i_mask in ctx.proper():
         lhs = ctx.r_ok(i_mask)
-        rhs = True
-        wit = None
-        for a_mask in all_ideals:
-            if not a_mask & reg:
-                continue
-            for b_mask in all_ideals:
-                if is_subset(set_product(ctx.ring, a_mask, b_mask), i_mask) \
-                        and not is_subset(b_mask, i_mask):
-                    rhs = False
-                    wit = (a_mask, b_mask)
-                    break
-            if not rhs:
-                break
-        if lhs != rhs:
+        wit = _factor_witness(ctx, i_mask, reg)
+        if lhs != (wit is None):
             return _ce(part=1, ideal_set=i_mask, holds_r=lhs,
                        factor_pair=[elements_of(w) for w in wit] if wit else None)
     # part 2: cancellation
@@ -491,21 +493,27 @@ def _t02(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     return HOLDS, None
 
 
+def _intersections_stay(family: tuple[int, ...],
+                        in_class: Callable[[int], bool]) -> CheckResult:
+    """T03 and T21: every pairwise intersection, then the intersection of
+    the whole family, is in the class."""
+    for a_mask, b_mask in combinations(family, 2):
+        if not in_class(a_mask & b_mask):
+            return _ce(left_set=a_mask, right_set=b_mask,
+                       intersection_set=a_mask & b_mask)
+    if family:
+        total = family[0]
+        for m in family[1:]:
+            total &= m
+        if not in_class(total):
+            return _ce(family="all", intersection_set=total)
+    return HOLDS, None
+
+
 @entry("T03",
        "The intersection of any nonempty family of r-ideals is an r-ideal.")
 def _t03(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
-    r_class = ctx.r_class()
-    for a_mask, b_mask in combinations(r_class, 2):
-        if not ctx.r_ok(a_mask & b_mask):
-            return _ce(left_set=a_mask, right_set=b_mask,
-                       intersection_set=a_mask & b_mask)
-    if r_class:
-        total = ctx.ring.carrier_mask
-        for m in r_class:
-            total &= m
-        if not ctx.r_ok(total):
-            return _ce(family="all", intersection_set=total)
-    return HOLDS, None
+    return _intersections_stay(ctx.r_class(), ctx.r_ok)
 
 
 @entry("T04",
@@ -622,7 +630,7 @@ def _t08b(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
        "Every maximal r-ideal is a prime hyperideal.",
        axes=("prime_mode",))
 def _t09(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
-    for m in ctx.maximal_of(ctx.r_class()):
+    for m in maximal_members(ctx.r_class()):
         if not is_prime(ctx.ring, m, rd.prime_mode):
             return _ce(ideal_set=m)
     return HOLDS, None
@@ -671,7 +679,7 @@ def _t11(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
 def _t12(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     if not classify_ring(ctx.ring).reduced:
         return NOT_APPLICABLE, {"reason": "ring is not reduced"}
-    max_r = ctx.maximal_of(ctx.r_class())
+    max_r = maximal_members(ctx.r_class())
     for i_mask in ctx.r_class():
         if is_essential(ctx.ring, i_mask, DEFAULT_ENUMERATION_CAP):
             continue
@@ -794,20 +802,27 @@ def _t16(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     return HOLDS, None
 
 
-@entry("T17",
-       "Every ideal maximal among those containing a given seed and "
-       "disjoint from an r-closed subset is an r-ideal.",
-       axes=("regular", "closed_subset"))
-def _t17(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
-    for s_mask in ctx.rmc_family(rd):
+def _maximal_disjoint_stay(ctx: RingContext, closed: tuple[int, ...],
+                           in_class: Callable[[int], bool]) -> CheckResult:
+    """T17 and T30: every ideal maximal among those containing a seed and
+    disjoint from a closed subset is in the class."""
+    for s_mask in closed:
         for seed in ctx.ideals():
             if seed & s_mask:
                 continue
             for m in maximal_disjoint_masks(ctx.ring, s_mask, seed,
                                             DEFAULT_ENUMERATION_CAP):
-                if not ctx.r_ok(m):
+                if not in_class(m):
                     return _ce(closed_set=s_mask, seed_set=seed, maximal_set=m)
     return HOLDS, None
+
+
+@entry("T17",
+       "Every ideal maximal among those containing a given seed and "
+       "disjoint from an r-closed subset is an r-ideal.",
+       axes=("regular", "closed_subset"))
+def _t17(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
+    return _maximal_disjoint_stay(ctx, ctx.rmc_family(rd), ctx.r_ok)
 
 
 # --- n-hyperideals (T18..T34) ------------------------------------------------
@@ -845,18 +860,7 @@ def _t20(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
 @entry("T21",
        "The intersection of any nonempty family of n-ideals is an n-ideal.")
 def _t21(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
-    n_class = ctx.n_class()
-    for a_mask, b_mask in combinations(n_class, 2):
-        if not ctx.is_n(a_mask & b_mask):
-            return _ce(left_set=a_mask, right_set=b_mask,
-                       intersection_set=a_mask & b_mask)
-    if n_class:
-        total = ctx.ring.carrier_mask
-        for m in n_class:
-            total &= m
-        if not ctx.is_n(total):
-            return _ce(family="all", intersection_set=total)
-    return HOLDS, None
+    return _intersections_stay(ctx.n_class(), ctx.is_n)
 
 
 @entry("T22",
@@ -865,24 +869,12 @@ def _t21(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
        "ideal product inside I whose left factor leaves the radical of zero "
        "forces the right factor into I.")
 def _t22(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
-    rad = ctx.rad0()
-    outside = ctx.ring.carrier_mask & ~rad
-    all_ideals = ctx.ideals()
+    outside = ctx.ring.carrier_mask & ~ctx.rad0()
     for i_mask in ctx.proper():
         s1 = ctx.is_n(i_mask)
         s2 = all(ctx.colon(i_mask, singleton(a)) == i_mask
                  for a in bits(outside))
-        s3 = True
-        for a_mask in all_ideals:
-            if not a_mask & outside:
-                continue
-            for b_mask in all_ideals:
-                if is_subset(set_product(ctx.ring, a_mask, b_mask), i_mask) \
-                        and not is_subset(b_mask, i_mask):
-                    s3 = False
-                    break
-            if not s3:
-                break
+        s3 = _factor_witness(ctx, i_mask, outside) is None
         if not (s1 == s2 == s3):
             return _ce(ideal_set=i_mask, statements=[s1, s2, s3])
     return HOLDS, None
@@ -925,8 +917,8 @@ def _t24(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
        axes=("prime_mode",))
 def _t25(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     rad = ctx.rad0()
-    left = rad != ctx.ring.carrier_mask and is_prime(ctx.ring, rad, rd.prime_mode)
-    right = rad != ctx.ring.carrier_mask and ctx.is_n(rad)
+    left = is_prime(ctx.ring, rad, rd.prime_mode)
+    right = ctx.is_n(rad)
     if left != right:
         return _ce(radical_set=rad, prime=left, n_ideal=right)
     return HOLDS, None
@@ -949,7 +941,7 @@ def _t26(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
 @entry("T27", "Every maximal n-ideal equals the radical of zero.")
 def _t27(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     rad = ctx.rad0()
-    for m in ctx.maximal_of(ctx.n_class()):
+    for m in maximal_members(ctx.n_class()):
         if m != rad:
             return _ce(ideal_set=m, radical_set=rad)
     return HOLDS, None
@@ -960,7 +952,7 @@ def _t27(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
        axes=("prime_mode",))
 def _t28(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     rad = ctx.rad0()
-    left = rad != ctx.ring.carrier_mask and is_prime(ctx.ring, rad, rd.prime_mode)
+    left = is_prime(ctx.ring, rad, rd.prime_mode)
     right = bool(ctx.n_class())
     if left != right:
         return _ce(radical_set=rad, prime=left, n_ideals_exist=right)
@@ -985,15 +977,7 @@ def _t29(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
        "Every ideal maximal among those containing a given seed and "
        "disjoint from an n-closed subset is an n-ideal.")
 def _t30(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
-    for s_mask in ctx.nmc_family():
-        for seed in ctx.ideals():
-            if seed & s_mask:
-                continue
-            for m in maximal_disjoint_masks(ctx.ring, s_mask, seed,
-                                            DEFAULT_ENUMERATION_CAP):
-                if not ctx.is_n(m):
-                    return _ce(closed_set=s_mask, seed_set=seed, maximal_set=m)
-    return HOLDS, None
+    return _maximal_disjoint_stay(ctx, ctx.nmc_family(), ctx.is_n)
 
 
 @entry("T31",

@@ -1,5 +1,9 @@
-"""Where per-ring derived data lives: on the ring instance, computed once per
-ring, invisible to equality and hashing, and never in a module-level cache."""
+"""Where per-ring derived data lives: on the ring instance, through
+``core.cached_on_ring``, computed once per ring and per argument list,
+invisible to equality and hashing, and never in a module-level cache.
+
+The counts of ``cached_on_ring``'s ``cache_info()`` are the contract the
+benchmark's traced run reads (``hyperideal_masks.cache_info().misses``)."""
 
 import dataclasses
 import functools
@@ -11,7 +15,7 @@ import pytest
 import hyperrings
 from hyperrings import classifiers, construct, ideals
 from hyperrings.bitsets import mask_of
-from hyperrings.core import CapExceeded
+from hyperrings.core import CapExceeded, RingFlags, cached_on_ring
 from hyperrings.corpus import ordinary_ring, zn_with_products
 
 
@@ -97,15 +101,130 @@ class TestCachedOnRing:
                 ideals.prime_masks(ring, 4)
 
 
-def test_hyperideal_masks_is_the_only_lru_cache():
+class TestRingCachedFamilies:
+    def test_second_hyperideal_masks_call_does_no_scan(self, monkeypatch):
+        ring = ordinary_ring(12)
+        closures = counting(monkeypatch, ideals, "generated_ideal_mask")
+        first = ideals.hyperideal_masks(ring, 16)
+        assert closures[0] > 0
+        before = closures[0]
+        assert ideals.hyperideal_masks(ring, 16) is first
+        assert closures[0] == before
+
+    def test_second_class_members_call_does_no_scan(self, monkeypatch):
+        ring = ordinary_ring(12)
+        which = (classifiers.CLASS_HYPERIDEAL, classifiers.CLASS_PRIME,
+                 classifiers.CLASS_R, classifiers.CLASS_N)
+        first = {w: classifiers.class_members(ring, w, cap=16) for w in which}
+        first["minimal"] = classifiers.minimal_primes(ring, cap=16)
+        scans = counting(monkeypatch, classifiers, "law_witness")
+        prime_scans = counting(monkeypatch, ideals, "law_witness")
+        closures = counting(monkeypatch, ideals, "generated_ideal_mask")
+        for w in which:
+            assert classifiers.class_members(ring, w, cap=16) is first[w]
+        assert classifiers.minimal_primes(ring, cap=16) is first["minimal"]
+        assert scans[0] == prime_scans[0] == closures[0] == 0
+
+    def test_prime_class_reads_prime_masks(self, monkeypatch):
+        ring = ordinary_ring(12)
+        primes = ideals.prime_masks(ring, 16)
+        scans = counting(monkeypatch, ideals, "prime_witness")
+        assert classifiers.class_members(ring, classifiers.CLASS_PRIME,
+                                         cap=16) is primes
+        strict = classifiers.class_members(
+            ring, classifiers.CLASS_PRIME, classifiers.MODE_STRICT, cap=16)
+        assert strict == tuple(m for m in primes if m != mask_of([0]))
+        assert scans[0] == 0
+
+    def test_families_are_tuples(self, default_corpus):
+        """A cached value is shared by every caller, so it must be
+        immutable; tuples also keep ``n_class() == (genzero(),)`` exact."""
+        for ring in default_corpus.rings[:20]:
+            values = [ideals.hyperideal_masks(ring, 16),
+                      ideals.prime_masks(ring, 16),
+                      ideals.product_family(ring),
+                      classifiers.minimal_primes(ring, cap=16)]
+            values += [classifiers.class_members(ring, w, cap=16) for w in (
+                classifiers.CLASS_HYPERIDEAL, classifiers.CLASS_PRIME,
+                classifiers.CLASS_R, classifiers.CLASS_N)]
+            assert all(type(v) is tuple for v in values)
+            assert type(ideals.zero_radical(ring, 16)) is int
+
+    def test_twin_computes_its_own(self, monkeypatch):
+        ring = ordinary_ring(10)
+        ideals.hyperideal_masks(ring, 16)
+        classifiers.class_members(ring, classifiers.CLASS_N, cap=16)
+        twin = dataclasses.replace(ring)
+        assert twin == ring and hash(twin) == hash(ring)
+        closures = counting(monkeypatch, ideals, "generated_ideal_mask")
+        scans = counting(monkeypatch, classifiers, "law_witness")
+        assert ideals.hyperideal_masks(twin, 16) == \
+            ideals.hyperideal_masks(ring, 16)
+        assert classifiers.class_members(twin, classifiers.CLASS_N, cap=16) \
+            == classifiers.class_members(ring, classifiers.CLASS_N, cap=16)
+        assert closures[0] > 0 and scans[0] > 0
+
+
+class TestCacheInfo:
+    def test_misses_count_computations(self):
+        ring, twin = ordinary_ring(9), ordinary_ring(9)
+        start = ideals.hyperideal_masks.cache_info()
+        ideals.hyperideal_masks(ring, 16)
+        ideals.hyperideal_masks(ring, 16)
+        ideals.hyperideal_masks(ring)  # another argument list
+        ideals.hyperideal_masks(twin, 16)  # another ring
+        info = ideals.hyperideal_masks.cache_info()
+        assert info.misses - start.misses == 3
+        assert info.hits - start.hits == 1
+
+    def test_a_raising_call_is_a_miss_every_time(self):
+        ring = ordinary_ring(8)
+        start = ideals.hyperideal_masks.cache_info().misses
+        for _ in range(2):
+            with pytest.raises(CapExceeded):
+                ideals.hyperideal_masks(ring, 4)
+        assert ideals.hyperideal_masks.cache_info().misses - start == 2
+
+    def test_counts_are_per_function(self):
+        ring = ordinary_ring(7)
+        start = classifiers.minimal_primes.cache_info()
+        ideals.hyperideal_masks(ring, 16)
+        assert classifiers.minimal_primes.cache_info() == start
+
+
+def test_cached_function_cannot_shadow_ring_attributes():
+    """The memo slot is the function's dotted name, so a cached function
+    named like a cached property or a field leaves that attribute alone."""
+    @cached_on_ring
+    def flags(ring):
+        return "flags"
+
+    @cached_on_ring
+    def size(ring):
+        return "size"
+
+    ring = ordinary_ring(6)
+    assert flags(ring) == "flags" and size(ring) == "size"
+    assert isinstance(ring.flags, RingFlags)
+    assert ring.size == 6
+    assert flags(ring) == "flags" and size(ring) == "size"
+
+
+def test_no_module_level_lru_cache():
     """An unbounded module-level cache keeps every ring it has seen alive;
-    per-ring values belong on the ring.  ``hyperideal_masks`` keeps its cache
-    only while the benchmark's tracer reads its ``cache_info``."""
+    per-ring values belong on the ring.  Functions and the methods of
+    classes are both searched."""
     found = set()
     for info in pkgutil.iter_modules(hyperrings.__path__):
         module = importlib.import_module(f"hyperrings.{info.name}")
         for name, value in vars(module).items():
-            if isinstance(value, functools._lru_cache_wrapper) \
-                    and value.__module__ == module.__name__:
-                found.add(f"{info.name}.{name}")
-    assert found == {"ideals.hyperideal_masks"}
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            candidates = {name: value}
+            if isinstance(value, type):
+                candidates.update((f"{name}.{attr}", obj)
+                                  for attr, obj in vars(value).items())
+            found.update(f"{info.name}.{qualname}"
+                         for qualname, obj in candidates.items()
+                         if isinstance(obj, functools._lru_cache_wrapper))
+    assert found == set()

@@ -24,13 +24,16 @@ from hyperrings.classifiers import (
     is_r_mult_closed,
     maximal_disjoint_ideal,
     maximal_disjoint_masks,
+    maximal_members,
     n_witness,
     prime_witness,
+    primary_witness,
     r_witness,
+    regular_mask,
 )
 from hyperrings.core import NoIdentity
 from hyperrings.corpus import zn_with_products
-from hyperrings.ideals import hyperideal_masks
+from hyperrings.ideals import hyperideal_masks, radical, zero_radical
 
 
 class TestPrime:
@@ -93,7 +96,7 @@ class TestNIdeal:
         assert found == [mask_of([0])]
 
     def test_z6_has_none(self, z6):
-        assert class_members(z6, CLASS_N) == []
+        assert class_members(z6, CLASS_N) == ()
         assert n_witness(z6, mask_of([0])) == (2, 3)
 
     def test_improper_never_n(self, z4):
@@ -191,3 +194,48 @@ class TestClassifyIdeal:
         a = classify_ideal(z6, mask_of([0]))
         b = classify_ideal(z6, mask_of([0]))
         assert a == b
+
+
+def literal_witness(ring, members, xs, ys):
+    """The least (x, y) over the whole square with x in xs, y in ys and
+    ``x o y`` inside the ideal, read off the definition."""
+    for x in range(ring.size):
+        for y in range(ring.size):
+            if xs >> x & 1 and ys >> y & 1 \
+                    and not ring.hmul[x][y] & ~members:
+                return (x, y)
+    return None
+
+
+class TestLawWitnesses:
+    """The prime, primary, r and n witnesses are one scan each; the literal
+    least pair over the whole square is their oracle."""
+
+    def test_against_the_literal_laws(self, default_corpus, small_corpus):
+        cases = 0
+        for ring in [*default_corpus.rings, *small_corpus]:
+            full = ring.carrier_mask
+            out_rad0 = full & ~zero_radical(ring)
+            for m in hyperideal_masks(ring, 16):
+                out = full & ~m
+                assert prime_witness(ring, m) == literal_witness(
+                    ring, m, out, out)
+                assert primary_witness(ring, m) == literal_witness(
+                    ring, m, out, full & ~radical(ring, m))
+                for notion in ("nzd", "vnr"):
+                    assert r_witness(ring, m, notion) == literal_witness(
+                        ring, m, regular_mask(ring, notion), out)
+                assert n_witness(ring, m) == literal_witness(
+                    ring, m, out_rad0, out)
+                cases += 5
+        assert cases > 2000
+
+
+class TestMaximalMembers:
+    def test_maximal_and_minimal(self):
+        family = (mask_of([0]), mask_of([0, 1]), mask_of([0, 2]),
+                  mask_of([0, 1, 2]), mask_of([3]))
+        assert maximal_members(family) == (mask_of([0, 1, 2]), mask_of([3]))
+        assert maximal_members(family, minimal=True) == (mask_of([0]),
+                                                         mask_of([3]))
+        assert maximal_members(()) == ()

@@ -6,11 +6,12 @@ from importlib import resources
 import pytest
 
 from hyperrings import theorems
-from hyperrings.classifiers import is_prime
-from hyperrings.core import CapExceeded, HyperRingError
+from hyperrings.bitsets import is_subset
+from hyperrings.classifiers import is_n_hyperideal, is_prime, r_closure_holds
+from hyperrings.core import ZERO_MASK, CapExceeded, HyperRingError
 from hyperrings.corpus import ordinary_ring, zn_with_products
 from hyperrings.construct import direct_product, quotient
-from hyperrings.ideals import ann, hyperideal_masks
+from hyperrings.ideals import ann, hyperideal_masks, radical
 from hyperrings.theorems import (
     COUNTEREXAMPLE,
     HOLDS,
@@ -229,8 +230,8 @@ class TestSmallCorpus:
 
 
 class TestContextReadsRing:
-    """``RingContext.primes`` and ``RingContext.ann`` read values cached on
-    the ring; the direct scans are their oracle."""
+    """``RingContext``'s ideal families and ``ann`` read values cached on
+    the ring; the direct scans over its proper ideals are their oracle."""
 
     def test_against_direct_scans(self, default_corpus):
         for base in default_corpus.rings:
@@ -243,9 +244,21 @@ class TestContextReadsRing:
                         pass
             for ring in rings:
                 ctx = RingContext(ring)
+                proper = tuple(m for m in hyperideal_masks(ring, 16)
+                               if m != ring.carrier_mask)
+                assert ctx.proper() == proper
                 for mode in READING_AXES["prime_mode"]:
-                    assert ctx.primes(Reading(prime_mode=mode)) == tuple(
-                        m for m in ctx.proper() if is_prime(ring, m, mode))
+                    rd = Reading(prime_mode=mode)
+                    primes = tuple(m for m in proper if is_prime(ring, m, mode))
+                    assert ctx.primes(rd) == primes
+                    assert ctx.minimal_primes(rd) == tuple(
+                        p for p in primes
+                        if not any(q != p and is_subset(q, p) for q in primes))
+                assert ctx.r_class() == tuple(
+                    m for m in proper if r_closure_holds(ring, m))
+                assert ctx.n_class() == tuple(
+                    m for m in proper if is_n_hyperideal(ring, m, cap=16))
+                assert ctx.rad0() == radical(ring, ZERO_MASK, 16)
                 if ring.commutative:  # checkers see only commutative rings
                     for x in range(ring.size):
                         assert ctx.ann(x) == ann(ring, x)
