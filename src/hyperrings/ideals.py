@@ -238,11 +238,15 @@ def ann(ring: HyperRing, x: int) -> int:
 
 
 def ann_of_set(ring: HyperRing, mask: int) -> int:
-    """All z with ``A o z = {0}`` for a subset A."""
-    out = 0
-    for z in range(ring.size):
-        if hprod(ring, mask, singleton(z)) == ZERO_MASK:
-            out |= singleton(z)
+    """All z with ``A o z = {0}`` for a nonempty subset A: the meet of the
+    annihilators of its elements, since every cell is nonempty.  The empty
+    set has the empty annihilator, as its product with any z is empty."""
+    if not mask:
+        return 0
+    out = ring.carrier_mask
+    annihilators = ring.annihilators
+    for a in bits(mask):
+        out &= annihilators[a]
     return out
 
 

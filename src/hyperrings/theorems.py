@@ -142,6 +142,40 @@ class Reading:
         return ",".join(f"{a}={getattr(self, a)}" for a in sorted(axes))
 
 
+class _RecordingReading:
+    """A :class:`Reading` that notes each axis an evaluation reads.
+
+    It forwards only the names in ``READING_AXES`` and raises on any other
+    attribute: ``with_flags`` or ``label`` would read every axis without
+    recording it.  It compares and hashes equal to the reading it wraps.
+    """
+
+    def __init__(self, reading: Reading):
+        self._reading = reading
+
+    def __getattr__(self, name: str) -> str:
+        if name not in READING_AXES:
+            raise AttributeError(f"a recorded reading has only its axes, "
+                                 f"not {name!r}")
+        value = getattr(self._reading, name)
+        # kept on the instance, so later reads of the axis skip this hook
+        # and the instance dict is the record
+        setattr(self, name, value)
+        return value
+
+    def axes_read(self) -> dict[str, str]:
+        """Each axis read so far, with its value."""
+        return {a: v for a, v in vars(self).items() if a in READING_AXES}
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _RecordingReading):
+            other = other._reading
+        return self._reading == other
+
+    def __hash__(self) -> int:
+        return hash(self._reading)
+
+
 def reading_from_flags(flags: dict[str, str]) -> Reading:
     for axis, value in flags.items():
         if axis not in READING_AXES:
@@ -162,8 +196,11 @@ class RingContext:
     :data:`DEFAULT_ENUMERATION_CAP`, from the library functions that define
     them, which keep them on the :class:`HyperRing`.  Only registry-specific
     values are memoised here: the standing gate, the candidate-subset
-    families, colons, the per-mask ``is_n``/``r_ok`` verdicts, and derived
-    constructions with their contexts, for the whole sweep.
+    families, colons, ideal products, irredundant covers, factor witnesses,
+    the per-mask ``is_n``/``r_ok`` verdicts, and derived constructions with
+    their contexts, for the whole sweep.  None of them depends on a reading
+    except through the axis value in its key, so every reading and every
+    entry shares them.
     """
 
     def __init__(self, ring: HyperRing):
@@ -209,14 +246,30 @@ class RingContext:
         return regular_mask(self.ring, rd.regular)
 
     # -- classifications ----------------------------------------------------
+    # A hyperideal's verdict is read off the cached class; any other mask
+    # is scanned, since the classes hold hyperideals only.
     def is_n(self, members: int) -> bool:
-        key = ("is_n", members)
-        return self._memo(key, lambda: is_n_hyperideal(
-            self.ring, members, cap=DEFAULT_ENUMERATION_CAP))
+        def compute() -> bool:
+            if members in self.ideals():
+                return members in self.n_class()
+            return is_n_hyperideal(self.ring, members,
+                                   cap=DEFAULT_ENUMERATION_CAP)
+        return self._memo(("is_n", members), compute)
 
     def r_ok(self, members: int) -> bool:
-        key = ("r_ok", members)
-        return self._memo(key, lambda: r_closure_holds(self.ring, members))
+        def compute() -> bool:
+            if members in self.ideals():
+                # the r-law holds vacuously on the carrier, which no class
+                # of proper ideals contains
+                return (members == self.ring.carrier_mask
+                        or members in self.r_class())
+            return r_closure_holds(self.ring, members)
+        return self._memo(("r_ok", members), compute)
+
+    def is_prime(self, rd: Reading, members: int) -> bool:
+        if members in self.ideals():
+            return members in self.primes(rd)
+        return is_prime(self.ring, members, rd.prime_mode)
 
     def _class(self, which: str, mode: str) -> tuple[int, ...]:
         return class_members(self.ring, which, mode, REGULAR_NZD,
@@ -237,9 +290,11 @@ class RingContext:
 
     # -- arithmetic ----------------------------------------------------------
     def prod(self, rd: Reading, left: int, right: int) -> int:
-        if rd.product == "raw":
-            return set_product(self.ring, left, right)
-        return ideal_product(self.ring, left, right).members
+        def compute() -> int:
+            if rd.product == "raw":
+                return set_product(self.ring, left, right)
+            return ideal_product(self.ring, left, right).members
+        return self._memo(("prod", rd.product, left, right), compute)
 
     def colon(self, members: int, against: int) -> int:
         key = ("colon", members, against)
@@ -247,6 +302,49 @@ class RingContext:
 
     def ann(self, x: int) -> int:
         return self.ring.annihilators[x]
+
+    def factor_witness(self, i_mask: int,
+                       meets: int) -> Optional[tuple[int, int]]:
+        """Least ideals (A, B) with A meeting ``meets``, ``A o B`` inside I
+        and B not: the ideal form of the r-law (T01) and of the n-law
+        (T22)."""
+        def compute() -> Optional[tuple[int, int]]:
+            all_ideals = self.ideals()
+            for a_mask in all_ideals:
+                if not a_mask & meets:
+                    continue
+                for b_mask in all_ideals:
+                    if is_subset(set_product(self.ring, a_mask, b_mask),
+                                 i_mask) and not is_subset(b_mask, i_mask):
+                        return a_mask, b_mask
+            return None
+        return self._memo(("factor", i_mask, meets), compute)
+
+    def irredundant_covers(self, i_mask: int) -> tuple[tuple[int, ...], ...]:
+        """Tuples of 2..COVER_MAX distinct ideals covering ``i_mask`` with
+        no member removable."""
+        def compute() -> tuple[tuple[int, ...], ...]:
+            covers = []
+            for k in range(2, COVER_MAX + 1):
+                for combo in combinations(self.ideals(), k):
+                    union = 0
+                    for m in combo:
+                        union |= m
+                    if not is_subset(i_mask, union):
+                        continue
+                    redundant = False
+                    for skip in range(k):
+                        rest = 0
+                        for t, m in enumerate(combo):
+                            if t != skip:
+                                rest |= m
+                        if is_subset(i_mask, rest):
+                            redundant = True
+                            break
+                    if not redundant:
+                        covers.append(combo)
+            return tuple(covers)
+        return self._memo(("covers", i_mask), compute)
 
     # -- bounded subset families ---------------------------------------------
     def mult_closed_family(self) -> tuple[int, ...]:
@@ -400,21 +498,6 @@ def _ce(**kw) -> CheckResult:
     return COUNTEREXAMPLE, witness
 
 
-def _factor_witness(ctx: RingContext, i_mask: int,
-                    meets: int) -> Optional[tuple[int, int]]:
-    """Least ideals (A, B) with A meeting ``meets``, ``A o B`` inside I and B
-    not: the ideal form of the r-law (T01) and of the n-law (T22)."""
-    all_ideals = ctx.ideals()
-    for a_mask in all_ideals:
-        if not a_mask & meets:
-            continue
-        for b_mask in all_ideals:
-            if is_subset(set_product(ctx.ring, a_mask, b_mask), i_mask) \
-                    and not is_subset(b_mask, i_mask):
-                return a_mask, b_mask
-    return None
-
-
 # --- r-hyperideal basics (T01..T08) ----------------------------------------
 
 
@@ -432,7 +515,7 @@ def _t01(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     # part 1: the equivalence, for every proper ideal
     for i_mask in ctx.proper():
         lhs = ctx.r_ok(i_mask)
-        wit = _factor_witness(ctx, i_mask, reg)
+        wit = ctx.factor_witness(i_mask, reg)
         if lhs != (wit is None):
             return _ce(part=1, ideal_set=i_mask, holds_r=lhs,
                        factor_pair=[elements_of(w) for w in wit] if wit else None)
@@ -631,7 +714,7 @@ def _t08b(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
        axes=("prime_mode",))
 def _t09(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     for m in maximal_members(ctx.r_class()):
-        if not is_prime(ctx.ring, m, rd.prime_mode):
+        if not ctx.is_prime(rd, m):
             return _ce(ideal_set=m)
     return HOLDS, None
 
@@ -691,30 +774,6 @@ def _t12(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     return HOLDS, None
 
 
-def _irredundant_covers(ctx: RingContext, i_mask: int,
-                        family: tuple[int, ...]):
-    """Yield tuples of 2..COVER_MAX distinct ideals covering i_mask with no
-    member removable."""
-    for k in range(2, COVER_MAX + 1):
-        for combo in combinations(family, k):
-            union = 0
-            for m in combo:
-                union |= m
-            if not is_subset(i_mask, union):
-                continue
-            redundant = False
-            for skip in range(k):
-                rest = 0
-                for t, m in enumerate(combo):
-                    if t != skip:
-                        rest |= m
-                if is_subset(i_mask, rest):
-                    redundant = True
-                    break
-            if not redundant:
-                yield combo
-
-
 @entry("T13",
        "If an ideal lies irredundantly in a union of ideals of which one is "
        "an r-ideal and the others contain regular elements, it lies in the "
@@ -724,7 +783,7 @@ def _t13(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     reg = ctx.reg(rd)
     all_ideals = ctx.ideals()
     for i_mask in all_ideals:
-        for combo in _irredundant_covers(ctx, i_mask, all_ideals):
+        for combo in ctx.irredundant_covers(i_mask):
             for t, target in enumerate(combo):
                 if target == ctx.ring.carrier_mask or not ctx.r_ok(target):
                     continue
@@ -747,7 +806,7 @@ def _t14(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     minimal = set(ctx.minimal_primes(rd))
     all_ideals = ctx.ideals()
     for i_mask in all_ideals:
-        for combo in _irredundant_covers(ctx, i_mask, all_ideals):
+        for combo in ctx.irredundant_covers(i_mask):
             for t, target in enumerate(combo):
                 if target not in minimal:
                     continue
@@ -874,7 +933,7 @@ def _t22(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
         s1 = ctx.is_n(i_mask)
         s2 = all(ctx.colon(i_mask, singleton(a)) == i_mask
                  for a in bits(outside))
-        s3 = _factor_witness(ctx, i_mask, outside) is None
+        s3 = ctx.factor_witness(i_mask, outside) is None
         if not (s1 == s2 == s3):
             return _ce(ideal_set=i_mask, statements=[s1, s2, s3])
     return HOLDS, None
@@ -917,7 +976,7 @@ def _t24(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
        axes=("prime_mode",))
 def _t25(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     rad = ctx.rad0()
-    left = is_prime(ctx.ring, rad, rd.prime_mode)
+    left = ctx.is_prime(rd, rad)
     right = ctx.is_n(rad)
     if left != right:
         return _ce(radical_set=rad, prime=left, n_ideal=right)
@@ -952,7 +1011,7 @@ def _t27(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
        axes=("prime_mode",))
 def _t28(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     rad = ctx.rad0()
-    left = is_prime(ctx.ring, rad, rd.prime_mode)
+    left = ctx.is_prime(rd, rad)
     right = bool(ctx.n_class())
     if left != right:
         return _ce(radical_set=rad, prime=left, n_ideals_exist=right)
@@ -1071,7 +1130,7 @@ def _t35(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
             continue
         if dst.ring.identity is None or not dst.ring.commutative:
             continue
-        if rd.standing == "required" and not dst.standing_ok():
+        if not dst.standing_ok() and rd.standing == "required":
             continue
         for hom in suite.homs(src, dst):
             if hom.injective:
@@ -1247,7 +1306,9 @@ def _applicability(entry_: TheoremEntry, ctx: RingContext,
         return "no identity"
     if not ctx.ring.commutative:
         return "noncommutative carrier"
-    if rd.standing == "required" and not ctx.standing_ok():
+    # the gate is tested before the reading, so an evaluation on a ring
+    # that meets it does not read the standing axis
+    if not ctx.standing_ok() and rd.standing == "required":
         return "standing assumption violated: some hyperideal is not a C-hyperideal"
     if entry_.requires_scalar_identity and not ctx.ring.scalar_identity:
         return "no scalar identity"
@@ -1286,7 +1347,8 @@ def run_theorem(entry_: TheoremEntry, ring: HyperRing,
     ctx = context or RingContext(ring)
     sweep = suite or Suite([ctx])
     start = time.perf_counter()
-    status, witness = _evaluate(entry_, ctx, rd, sweep)
+    recorded = _RecordingReading(rd)
+    status, witness = _evaluate(entry_, ctx, recorded, sweep)
     reverified = False
     if status == COUNTEREXAMPLE:
         # deterministic re-run of the full predicate scan; the least witness
@@ -1296,8 +1358,19 @@ def run_theorem(entry_: TheoremEntry, ring: HyperRing,
     reading_results: dict[str, str] = {}
     sensitive = False
     if explore_readings:
+        # an evaluation depends on the reading only through the axes it
+        # read, so a reading that agrees with an earlier one on all of them
+        # takes that earlier status
+        evaluated = [(recorded.axes_read(), status)]
         for combo, label in sweep.alternates(axes, rd):
-            alt_status, _ = _evaluate(entry_, ctx, combo, sweep)
+            alt_status = next(
+                (done for read, done in evaluated
+                 if all(getattr(combo, a) == v for a, v in read.items())),
+                None)
+            if alt_status is None:
+                recorded = _RecordingReading(combo)
+                alt_status, _ = _evaluate(entry_, ctx, recorded, sweep)
+                evaluated.append((recorded.axes_read(), alt_status))
             reading_results[label] = alt_status
             # sensitive: some non-default reading flips between a decided
             # verdict and a counterexample

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperrings.bitsets import elements_of, is_subset, mask_of
-from hyperrings.core import CapExceeded
+from hyperrings.core import ZERO_MASK, CapExceeded
 from hyperrings.corpus import ordinary_ring, zn_with_products
 from hyperrings.ideals import (
     EmptySet,
     additive_closure,
     ann,
+    ann_of_set,
     colon,
     enumerate_hyperideals,
     generated_ideal_mask,
@@ -186,6 +187,23 @@ class TestColonAndAnn:
     def test_empty_divisor_raises(self, z4):
         with pytest.raises(EmptySet):
             colon(z4, mask_of([0]), 0)
+
+    def test_ann_of_set_against_products(self, default_corpus, small_corpus):
+        """``ann_of_set`` reads the cached annihilators; its definition is
+        ``{z : A o z = {0}}``.  ``A o z`` is built the way ``hprod`` defines
+        it, as the union of the cells ``a o z``, one element of A at a time,
+        so every mask of every corpus ring is covered, the empty one too."""
+        for ring in [*default_corpus.rings, *small_corpus]:
+            products = [(0,) * ring.size]  # products[A][z] is A o z
+            assert ann_of_set(ring, 0) == 0
+            for mask in range(1, 1 << ring.size):
+                low = (mask & -mask).bit_length() - 1
+                row = tuple(map(int.__or__, products[mask & (mask - 1)],
+                                ring.hmul[low]))
+                products.append(row)
+                expected = mask_of(z for z, cell in enumerate(row)
+                                   if cell == ZERO_MASK)
+                assert ann_of_set(ring, mask) == expected, (ring.name, mask)
 
 
 class TestRadical:

@@ -2,6 +2,7 @@
 
 import json
 from importlib import resources
+from itertools import combinations
 
 import pytest
 
@@ -11,7 +12,13 @@ from hyperrings.classifiers import is_n_hyperideal, is_prime, r_closure_holds
 from hyperrings.core import ZERO_MASK, CapExceeded, HyperRingError
 from hyperrings.corpus import ordinary_ring, zn_with_products
 from hyperrings.construct import direct_product, quotient
-from hyperrings.ideals import ann, hyperideal_masks, radical
+from hyperrings.ideals import (
+    ann,
+    hyperideal_masks,
+    ideal_product,
+    radical,
+    set_product,
+)
 from hyperrings.theorems import (
     COUNTEREXAMPLE,
     HOLDS,
@@ -144,7 +151,6 @@ class TestCoverMachinery:
         # a hyperideal and the three two-element subgroups cover the ring
         # irredundantly (the smallest structure where ideal covers exist)
         from hyperrings.core import validate_hyperring
-        from hyperrings.theorems import RingContext, _irredundant_covers
 
         add = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
         hmul = [[[0]] * 4 for _ in range(4)]
@@ -153,9 +159,24 @@ class TestCoverMachinery:
         ctx = RingContext(ring)
         ideals = ctx.ideals()
         assert len(ideals) == 5
-        covers = list(_irredundant_covers(ctx, ring.carrier_mask, ideals))
+        covers = ctx.irredundant_covers(ring.carrier_mask)
         assert [sorted(map(elements_of_sorted, c)) for c in covers] == \
             [[[0, 1], [0, 2], [0, 3]]]
+        # no default-corpus ring has an irredundant cover, so the covers
+        # kept per ideal are checked here, against the definition
+        for i in ideals:
+            assert ctx.irredundant_covers(i) == tuple(
+                c for k in (2, 3) for c in combinations(ideals, k)
+                if is_subset(i, union(c))
+                and not any(is_subset(i, union(c[:t] + c[t + 1:]))
+                            for t in range(k)))
+
+
+def union(masks):
+    out = 0
+    for m in masks:
+        out |= m
+    return out
 
 
 def elements_of_sorted(mask):
@@ -211,6 +232,99 @@ class TestSuite:
         assert report.verdicts[-1].status == COUNTEREXAMPLE
 
 
+# Status of each entry on the small corpus, in ring order: h holds,
+# c counterexample, - not-applicable.  Triage of the counterexamples
+# is open (ROADMAP item 1).
+SMALL_STATUSES = {
+    "required": {
+        "T01": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T02": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T03": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T04": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T05": "-h-cc-h-h-h-cccccccc-cccccccc",
+        "T06": "-h-hc-h-h-h-hhchhhch-cccccccc",
+        "T07": "-h-cc-h-h-h-cccccccc-cccccccc",
+        "T08a": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T08b": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T09": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T10": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T11": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T12": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T13": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T14": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T15": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T16": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T17": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T18": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T19": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T20": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T21": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T22": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T23": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T24": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T25": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T26": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T27": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T28": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T29": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T30": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T31": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T32": "-h-hh-h-h-h-hhchhhch-hhhchhch",
+        "T33": "-h-hh-h-h-h-hhchhhch-hhhchhch",
+        "T34": "-h-cc-h-h-h-cchccccc-ccchcccc",
+        "T35": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T36": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T37": "-h---------------------------",
+        "T38": "-h-hh-h-h-h-hhhhhhhh-hhhhhhhh",
+        "T39": "-----------------------------",
+        "T40": "-h----h-h--------------------",
+    },
+    "waived": {
+        "T01": "-hhhh-hhhhhhhhhhhhhh-hhhhhhhh",
+        "T02": "-hhhh-hhhhhhhhhhhhhh-hhhhhhhh",
+        "T03": "-hhhh-hhhhhhhhhhhhhh-hhhhhhhh",
+        "T04": "-hhhh-hhhhhhhhhhhhhh-hhhhhhhh",
+        "T05": "-hhcc-hhhhhhcccccccc-cccccccc",
+        "T06": "-hchc-hchchchhchhhch-cccccccc",
+        "T07": "-hhcc-hhhhhhcccccccc-cccccccc",
+        "T08a": "-hhhh-hhhhhhhhhhhhhh-hhhhhhhh",
+        "T08b": "-hhhh-hhhhhhhhhhhhhh-hhhhhhhh",
+        "T09": "-hhhh-hhhhhhhhhhhhhh-hhhhhhhh",
+        "T10": "-hhhh-hhhhhhhhhhhhhh-hhhhhhhh",
+        "T11": "-hhhh-hhhhhhhhhhhhhh-hhhhhhhh",
+        "T12": "-hhhh-hhhhhhhhhhhhhh-hhhhhhhh",
+        "T13": "-hhhh-hhhhhhhhhhhhhh-hhhhhhhh",
+        "T14": "-hhhh-hhhhhhhhhhhhhh-hhhhhhhh",
+        "T15": "-hhhh-hhhhhhhhhhhhhh-hhhhhhhh",
+        "T16": "-hchh-hchchchhhhhhhh-hhhhhhhh",
+        "T17": "-hhhh-hhhhhhhhhhhhhh-hhhhhhhh",
+        "T18": "-hhhh-hhhhhhhhhhhhhh-hhhhhhhh",
+        "T19": "-hhhh-hhhhhhhhhhhhhh-hhhhhhhh",
+        "T20": "-hhhh-hhhhhhhhhhhhhh-hhhhhhhh",
+        "T21": "-hhhh-hhhhhhhhhhhhhh-hhhhhhhh",
+        "T22": "-hhhh-hhhhhhhhhhhhhh-hhhhhhhh",
+        "T23": "-hhhh-hhhhhhhhhhhhhh-hhhhhhhh",
+        "T24": "-hhhh-hhhhhhhhhhhhhh-hhhhhhhh",
+        "T25": "-hhhh-hhhhhhhhhhhhhh-hhhhhhhh",
+        "T26": "-hhhh-hhhhhhhhhhhhhh-hhhhhhhh",
+        "T27": "-hhhh-hhhhhhhhhhhhhh-hhhhhhhh",
+        "T28": "-hhhh-hhhhhhhhhhhhhh-hhhhhhhh",
+        "T29": "-hchh-hchchchhhhhhhh-hhhhhhhh",
+        "T30": "-hhhh-hhhhhhhhhhhhhh-hhhhhhhh",
+        "T31": "-hhhh-hhhhhhhhhhhhhh-hhhhhhhh",
+        "T32": "-hchh-hchchchhchhhch-hhhchhch",
+        "T33": "-hchh-hchchchhchhhch-hhhchhch",
+        "T34": "-hhcc-hhhhhhcchccccc-ccchcccc",
+        "T35": "-hhhh-hhhhhhhhhhhhhh-hhhhhhhh",
+        "T36": "-hhhh-hhhhhhhhhhhhhh-hhhhhhhh",
+        "T37": "-h---------------------------",
+        "T38": "-hhhh-hhhhhhhhhhhhhh-hhhhhhhh",
+        "T39": "-----------------------------",
+        "T40": "-h----h-h--------------------",
+    },
+}
+
+
 class TestSmallCorpus:
     def test_counts(self, small_corpus):
         sizes = [r.size for r in small_corpus]
@@ -221,12 +335,78 @@ class TestSmallCorpus:
         rings = small_corpus
         report = run_suite(rings, reading=Reading(standing=standing))
         assert len(report.verdicts) == len(REGISTRY) * len(rings)
+        code = {HOLDS: "h", COUNTEREXAMPLE: "c", NOT_APPLICABLE: "-"}
+        table: dict[str, str] = {}
+        for v in report.verdicts:
+            table[v.theorem] = table.get(v.theorem, "") + code[v.status]
+        assert table == SMALL_STATUSES[standing]
         # Z2 with x o y = {0, 1} everywhere: every annihilator is empty, so
         # the sum of two annihilators is empty and T07 cannot hold
         [t07] = [v for v in report.verdicts
                  if v.theorem == "T07" and v.ring == "Z2:[0, 1][0, 1][0, 1]"]
         assert t07.status == COUNTEREXAMPLE
         assert t07.witness["sum"] == []
+
+
+OTHER_AXES = Reading(**{axis: options[1] for axis, options in READING_AXES.items()
+                        if axis != "standing"})
+
+
+class TestReadingSweep:
+    """The sweep reuses a status wherever a reading agrees with an earlier
+    one on every axis that evaluation read; the reference evaluates every
+    reading of every cell."""
+
+    @staticmethod
+    def reference(rings, base):
+        contexts = [RingContext(r) for r in rings]
+        suite = theorems.Suite(contexts)
+        cells = []
+        for entry_ in REGISTRY:
+            axes = entry_.axes + ("standing",)
+            for ctx in contexts:
+                results = {}
+                for rd in theorems._reading_combos(axes, base):
+                    recorded = theorems._RecordingReading(rd)
+                    results[rd] = theorems._evaluate(entry_, ctx, recorded,
+                                                     suite)
+                    assert recorded.axes_read().keys() <= set(axes), \
+                        (entry_.tid, ctx.ring.name, recorded.axes_read())
+                status, witness = results.pop(base)
+                alternates = {rd.label(axes): alt for rd, (alt, _)
+                              in results.items()}
+                flips_to = HOLDS if status == COUNTEREXAMPLE else COUNTEREXAMPLE
+                cells.append((entry_.tid, ctx.ring.name, status, witness,
+                              alternates, flips_to in alternates.values()))
+        return cells
+
+    @pytest.mark.parametrize("base", [Reading(), Reading(standing="waived"),
+                                      OTHER_AXES],
+                             ids=["default", "waived", "other-axes"])
+    @pytest.mark.parametrize("corpus", ["default", "small"])
+    def test_matches_every_reading_evaluated(self, corpus, base,
+                                             default_corpus, small_corpus):
+        rings = default_corpus.rings if corpus == "default" else small_corpus
+        report = run_suite(rings, reading=base)
+        got = [(v.theorem, v.ring, v.status, v.witness, v.reading_results,
+                v.reading_sensitive) for v in report.verdicts]
+        assert got == self.reference(rings, base)
+
+    def test_recording_view(self):
+        rd = Reading(regular="vnr")
+        recorded = theorems._RecordingReading(rd)
+        assert recorded == rd and rd == recorded
+        assert hash(recorded) == hash(rd)
+        assert recorded != Reading()
+        assert recorded.axes_read() == {}
+        assert recorded.regular == "vnr" and recorded.regular == "vnr"
+        assert recorded.standing == "required"
+        assert recorded.axes_read() == {"regular": "vnr",
+                                        "standing": "required"}
+        for name in ("with_flags", "label", "missing"):
+            with pytest.raises(AttributeError):
+                getattr(recorded, name)
+        assert recorded.axes_read().keys() == {"regular", "standing"}
 
 
 class TestContextReadsRing:
@@ -262,3 +442,29 @@ class TestContextReadsRing:
                 if ring.commutative:  # checkers see only commutative rings
                     for x in range(ring.size):
                         assert ctx.ann(x) == ann(ring, x)
+                for m in hyperideal_masks(ring, 16):
+                    assert ctx.r_ok(m) == r_closure_holds(ring, m)
+                    assert ctx.is_n(m) == is_n_hyperideal(ring, m, cap=16)
+                    for mode in READING_AXES["prime_mode"]:
+                        assert ctx.is_prime(Reading(prime_mode=mode), m) \
+                            == is_prime(ring, m, mode)
+
+    def test_shared_scans(self, default_corpus):
+        """Products and factor witnesses are kept per ring and shared by every reading and entry; each key must still
+        name everything the value depends on."""
+        raw, closed = Reading(), Reading(product="closed")
+        for ring in default_corpus.rings:
+            ctx = RingContext(ring)
+            ideals = ctx.ideals()
+            for a in ideals:
+                for b in ideals:
+                    assert ctx.prod(raw, a, b) == set_product(ring, a, b)
+                    assert ctx.prod(closed, a, b) == \
+                        ideal_product(ring, a, b).members
+            meets = (ring.nzd, ring.carrier_mask & ~ctx.rad0())
+            for i in ideals:
+                for m in meets:
+                    assert ctx.factor_witness(i, m) == next(
+                        ((a, b) for a in ideals if a & m for b in ideals
+                         if is_subset(set_product(ring, a, b), i)
+                         and not is_subset(b, i)), None)
