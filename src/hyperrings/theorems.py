@@ -60,9 +60,7 @@ from .classifiers import (
     class_members,
     is_essential,
     is_minimal_nonzero,
-    is_n_hyperideal,
     is_n_mult_closed,
-    is_prime,
     is_primary,
     is_r_mult_closed,
     maximal_disjoint_masks,
@@ -197,7 +195,7 @@ class RingContext:
     them, which keep them on the :class:`HyperRing`.  Only registry-specific
     values are memoised here: the standing gate, the candidate-subset
     families, colons, ideal products, irredundant covers, factor witnesses,
-    the per-mask ``is_n``/``r_ok`` verdicts, and derived constructions with
+    the per-mask ``r_ok`` verdicts, and derived constructions with
     their contexts, for the whole sweep.  None of them depends on a reading
     except through the axis value in its key, so every reading and every
     entry shares them.
@@ -241,35 +239,32 @@ class RingContext:
             return all(is_C_hyperideal(self.ring, m) for m in self.proper())
         return self._memo("standing", compute)
 
+    def standing_blocks(self, rd: Reading) -> bool:
+        """Whether ``rd`` requires the standing assumption and the ring
+        fails it.  The ring is tested before the reading, so an evaluation
+        on a ring that meets the gate does not read the standing axis; a
+        ring too large to test is gated, by its cap, only under
+        ``required``."""
+        try:
+            ok = self.standing_ok()
+        except CapExceeded:
+            if rd.standing == "required":
+                raise
+            return False
+        return not ok and rd.standing == "required"
+
     # -- element sets -------------------------------------------------------
     def reg(self, rd: Reading) -> int:
         return regular_mask(self.ring, rd.regular)
 
     # -- classifications ----------------------------------------------------
-    # A hyperideal's verdict is read off the cached class; any other mask
-    # is scanned, since the classes hold hyperideals only.
     def is_n(self, members: int) -> bool:
-        def compute() -> bool:
-            if members in self.ideals():
-                return members in self.n_class()
-            return is_n_hyperideal(self.ring, members,
-                                   cap=DEFAULT_ENUMERATION_CAP)
-        return self._memo(("is_n", members), compute)
+        """The n-law on a hyperideal, read off the cached n-class."""
+        return members in self.n_class()
 
     def r_ok(self, members: int) -> bool:
-        def compute() -> bool:
-            if members in self.ideals():
-                # the r-law holds vacuously on the carrier, which no class
-                # of proper ideals contains
-                return (members == self.ring.carrier_mask
-                        or members in self.r_class())
-            return r_closure_holds(self.ring, members)
-        return self._memo(("r_ok", members), compute)
-
-    def is_prime(self, rd: Reading, members: int) -> bool:
-        if members in self.ideals():
-            return members in self.primes(rd)
-        return is_prime(self.ring, members, rd.prime_mode)
+        key = ("r_ok", members)
+        return self._memo(key, lambda: r_closure_holds(self.ring, members))
 
     def _class(self, which: str, mode: str) -> tuple[int, ...]:
         return class_members(self.ring, which, mode, REGULAR_NZD,
@@ -714,7 +709,7 @@ def _t08b(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
        axes=("prime_mode",))
 def _t09(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     for m in maximal_members(ctx.r_class()):
-        if not ctx.is_prime(rd, m):
+        if m not in ctx.primes(rd):
             return _ce(ideal_set=m)
     return HOLDS, None
 
@@ -976,7 +971,7 @@ def _t24(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
        axes=("prime_mode",))
 def _t25(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     rad = ctx.rad0()
-    left = ctx.is_prime(rd, rad)
+    left = rad in ctx.primes(rd)
     right = ctx.is_n(rad)
     if left != right:
         return _ce(radical_set=rad, prime=left, n_ideal=right)
@@ -1011,7 +1006,7 @@ def _t27(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
        axes=("prime_mode",))
 def _t28(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     rad = ctx.rad0()
-    left = ctx.is_prime(rd, rad)
+    left = rad in ctx.primes(rd)
     right = bool(ctx.n_class())
     if left != right:
         return _ce(radical_set=rad, prime=left, n_ideals_exist=right)
@@ -1130,7 +1125,7 @@ def _t35(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
             continue
         if dst.ring.identity is None or not dst.ring.commutative:
             continue
-        if not dst.standing_ok() and rd.standing == "required":
+        if dst.standing_blocks(rd):
             continue
         for hom in suite.homs(src, dst):
             if hom.injective:
@@ -1306,9 +1301,7 @@ def _applicability(entry_: TheoremEntry, ctx: RingContext,
         return "no identity"
     if not ctx.ring.commutative:
         return "noncommutative carrier"
-    # the gate is tested before the reading, so an evaluation on a ring
-    # that meets it does not read the standing axis
-    if not ctx.standing_ok() and rd.standing == "required":
+    if ctx.standing_blocks(rd):
         return "standing assumption violated: some hyperideal is not a C-hyperideal"
     if entry_.requires_scalar_identity and not ctx.ring.scalar_identity:
         return "no scalar identity"
