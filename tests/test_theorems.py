@@ -100,10 +100,11 @@ class TestSingleVerdicts:
             assert reason in waived[tid].witness["reason"]
         required = {v.theorem: v for v in run_suite(
             [ring], only=only).verdicts}
-        for tid in ("T05", "T07", "T35"):
+        for tid in only:
             assert required[tid].status == NOT_APPLICABLE
             assert "carrier size cap" in required[tid].witness["reason"]
-            assert required[tid].reading_results == {"standing=waived": HOLDS}
+            assert required[tid].reading_results == {
+                "standing=waived": waived[tid].status}
 
     def test_identityless_ring_not_applicable(self):
         ring = zn_with_products(6, (2, 3))
