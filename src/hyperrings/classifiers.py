@@ -85,6 +85,7 @@ def is_primary(ring: HyperRing, members: int, mode: str = MODE_RELAXED) -> bool:
     return primary_witness(ring, members) is None
 
 
+@cached_on_ring
 def r_witness(ring: HyperRing, members: int,
               regular: str = REGULAR_NZD) -> Optional[tuple[int, int]]:
     """Least (x, y) with x regular, ``x o y`` inside the ideal, y outside."""

@@ -8,9 +8,12 @@ Leoreanu-Fotea, *Hyperring Theory and Applications*, 2007).  It is built
 here as a congruence closure with union-find, not by listing the finite
 sums of finite products that define it.
 
-Every construction revalidates its output tables; nothing well-definedness
-related is assumed.  The matrix construction is the single place allowed to
-produce a non-commutative carrier (flagged on the result).
+Quotients, products and subring restrictions prove their output tables a
+hyperring (the proofs are in their docstrings) and hand them to
+:func:`~hyperrings.core.build_hyperring`.  The matrix construction is
+validated in full: weak distributivity does not make its product
+associative.  It is the single place allowed to produce a non-commutative
+carrier (flagged on the result).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .core import (
     CapExceeded,
     HyperRing,
     HyperRingError,
+    build_hyperring,
     cached_on_ring,
     hprod,
     set_sum,
@@ -35,10 +39,6 @@ from .ideals import DEFAULT_ENUMERATION_CAP, is_hyperideal
 
 DEFAULT_GAMMA_CAP = 10
 HOM_CANDIDATE_CAP = 65536  # raw generator assignments one hom search may try
-
-
-class IllFormedQuotient(HyperRingError):
-    """Lifted coset hyperproduct depends on representative choice."""
 
 
 class IllDefinedQuotient(HyperRingError):
@@ -97,9 +97,16 @@ class QuotientImage:
 def quotient(ring: HyperRing, ideal: int, name: Optional[str] = None) -> QuotientImage:
     """Quotient by the additive cosets of a hyperideal.
 
-    The lifted coset hyperproduct is recomputed from every representative
-    pair and must agree; otherwise :class:`IllFormedQuotient` is raised with
-    the witnessing representatives.
+    Each coset cell is the set of classes its least representatives' cell
+    meets.  That does not depend on the representatives: for ``i`` in the
+    ideal I, weak distributivity and absorption (``i o b`` and ``b o i`` lie
+    in I) give ``(a+i) o b <= a o b + i o b <= a o b + I``, and, as
+    ``a = (a+i) + (-i)``, also ``a o b <= (a+i) o b + I``; the same holds on
+    the right.  So the projection ``p`` satisfies ``p(x o y) = p(x) o p(y)``
+    and ``p(x + y) = p(x) + p(y)``, and it maps subset products and sums
+    onto subset products and sums.  Every law of R then passes to R/I as
+    its image under p, and the tables go to :func:`build_hyperring`
+    unchecked.
     """
     if not is_hyperideal(ring, ideal):
         raise ValueError("quotient requires a hyperideal")
@@ -119,47 +126,16 @@ def quotient(ring: HyperRing, ideal: int, name: Optional[str] = None) -> Quotien
     relabel = {old: new for new, old in enumerate(order)}
     coset_masks = [coset_masks[i] for i in order]
     proj = tuple(relabel[coset_of[x]] for x in range(n))
-    k = len(coset_masks)
 
-    members = [bits(m) for m in coset_masks]
-    add_q = [[0] * k for _ in range(k)]
-    for i in range(k):
-        ri = members[i][0]
-        for j in range(k):
-            add_q[i][j] = proj[ring.add[ri][members[j][0]]]
-
-    # the classes a representative cell meets, lifted once per distinct cell
-    lift: dict[int, int] = {}
-    hmul_q = [[None] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            value: Optional[int] = None
-            first_pair = None
-            for x in members[i]:
-                row = ring.hmul[x]
-                for y in members[j]:
-                    cell = row[y]
-                    classes = lift.get(cell)
-                    if classes is None:
-                        classes = 0
-                        for t in bits(cell):
-                            classes |= 1 << proj[t]
-                        lift[cell] = classes
-                    if value is None:
-                        value = classes
-                        first_pair = (x, y)
-                    elif classes != value:
-                        raise IllFormedQuotient(
-                            f"cosets ({i},{j}): representatives {first_pair} "
-                            f"and {(x, y)} lift to different class sets")
-            hmul_q[i][j] = elements_of(value)
-
-    qname = name or f"{ring.name}/{{{','.join(map(str, elements_of(ideal)))}}}"
-    out = validate_hyperring(
-        qname, add_q, hmul_q,
-        require_commutative=ring.commutative,
+    reps = [(m & -m).bit_length() - 1 for m in coset_masks]
+    add_q = [[proj[ring.add[x][y]] for y in reps] for x in reps]
+    hmul_q = [[mask_of(proj[t] for t in bits(ring.hmul[x][y])) for y in reps]
+              for x in reps]
+    params = ",".join(map(str, elements_of(ideal)))
+    out = build_hyperring(
+        name or f"{ring.name}/{{{params}}}", add_q, hmul_q,
         provenance={"construction": "quotient", "source": ring.name,
-                    "params": ",".join(map(str, elements_of(ideal)))},
+                    "params": params},
     )
     return QuotientImage(ring=out, projection=proj, source_name=ring.name, ideal=ideal)
 
@@ -182,26 +158,20 @@ def product_subset_mask(n2: int, mask1: int, mask2: int) -> int:
 
 
 def direct_product(r1: HyperRing, r2: HyperRing, name: Optional[str] = None) -> HyperRing:
-    """Componentwise sum and hyperproduct on the pair carrier."""
+    """Componentwise sum and hyperproduct on the pair carrier.
+
+    Subset products and sums of rectangles are rectangles, as in
+    ``(A1 x A2) + (C1 x C2) = (A1 + C1) x (A2 + C2)``, so every law holds
+    componentwise, and the tables go to :func:`build_hyperring` unchecked.
+    """
     n1, n2 = r1.size, r2.size
-    n = n1 * n2
-    add = [[0] * n for _ in range(n)]
-    hmul = [[None] * n for _ in range(n)]
-    for a1 in range(n1):
-        for a2 in range(n2):
-            i = product_pair_index(n2, a1, a2)
-            for b1 in range(n1):
-                arow = r1.add[a1]
-                hrow = r1.hmul[a1]
-                for b2 in range(n2):
-                    j = product_pair_index(n2, b1, b2)
-                    add[i][j] = product_pair_index(n2, arow[b1], r2.add[a2][b2])
-                    hmul[i][j] = elements_of(
-                        product_subset_mask(n2, hrow[b1], r2.hmul[a2][b2]))
-    pname = name or f"{r1.name}x{r2.name}"
-    return validate_hyperring(
-        pname, add, hmul,
-        require_commutative=r1.commutative and r2.commutative,
+    pairs = [(a1, a2) for a1 in range(n1) for a2 in range(n2)]
+    add = [[product_pair_index(n2, r1.add[a1][b1], r2.add[a2][b2])
+            for b1, b2 in pairs] for a1, a2 in pairs]
+    hmul = [[product_subset_mask(n2, r1.hmul[a1][b1], r2.hmul[a2][b2])
+             for b1, b2 in pairs] for a1, a2 in pairs]
+    return build_hyperring(
+        name or f"{r1.name}x{r2.name}", add, hmul,
         provenance={"construction": "product", "source": f"{r1.name},{r2.name}",
                     "params": f"{n1}x{n2}"},
     )
@@ -468,7 +438,13 @@ class SubringImage:
 def subhyperring_restrict(ring: HyperRing, subset: int,
                           name: Optional[str] = None) -> SubringImage:
     """Restrict the tables to a subset closed under subtraction and the
-    hyperoperation; the inclusion is then a good homomorphism."""
+    hyperoperation; the inclusion is then a good homomorphism.
+
+    Every law is a universal statement about elements, subset products and
+    subset sums.  Closure, checked here (:class:`NotClosed`), keeps those
+    products and sums inside the subset, so each law restricts unchanged,
+    and the tables go to :func:`build_hyperring` unchecked.
+    """
     if subset == 0:
         raise NotClosed("empty subset", ())
     for a in bits(subset):
@@ -480,16 +456,14 @@ def subhyperring_restrict(ring: HyperRing, subset: int,
                 raise NotClosed("hyperproduct leaves the subset", (a, b))
     elems = elements_of(subset)
     index = {x: i for i, x in enumerate(elems)}
-    k = len(elems)
     add = [[index[ring.add[x][y]] for y in elems] for x in elems]
-    hmul = [[sorted(index[t] for t in bits(ring.hmul[x][y])) for y in elems]
+    hmul = [[mask_of(index[t] for t in bits(ring.hmul[x][y])) for y in elems]
             for x in elems]
-    sname = name or f"{ring.name}|{{{','.join(map(str, elems))}}}"
-    out = validate_hyperring(
-        sname, add, hmul,
-        require_commutative=ring.commutative,
+    params = ",".join(map(str, elems))
+    out = build_hyperring(
+        name or f"{ring.name}|{{{params}}}", add, hmul,
         provenance={"construction": "subring", "source": ring.name,
-                    "params": ",".join(map(str, elems))},
+                    "params": params},
     )
     return SubringImage(ring=out, embedding=tuple(elems))
 

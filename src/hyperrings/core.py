@@ -70,15 +70,15 @@ class HyperRing:
     """A validated finite multiplicative hyperring.
 
     ``add[a][b]`` is the element ``a + b``; ``hmul[a][b]`` is the bitmask of
-    the subset ``a o b``.  ``commutative`` is False only for structures
-    produced by the matrix construction, which is the single sanctioned
-    source of non-commutative carriers.
+    the subset ``a o b``.  ``commutative`` is read off the table.  It is
+    False only for structures produced by the matrix construction, which is
+    the single sanctioned source of non-commutative carriers, and for
+    subrings and products derived from them.
 
     Derived data is computed on first use and cached on the instance, so it
     lives exactly as long as the ring:
 
-    * ``neg`` and ``sub``: additive inverses and the subtraction table
-      (:func:`validate_hyperring` hands its inverses to ``neg``);
+    * ``neg`` and ``sub``: additive inverses and the subtraction table;
     * ``add_order``: the additive order of each element;
     * ``annihilators``: ``annihilators[x]`` is the mask of all y with
       ``x o y = {0}``;
@@ -94,7 +94,7 @@ class HyperRing:
 
     * ``hyperideal_masks``, ``product_family``, ``prime_masks`` and
       ``zero_radical`` of :mod:`hyperrings.ideals`;
-    * ``class_members`` and ``minimal_primes`` of
+    * ``r_witness``, ``class_members`` and ``minimal_primes`` of
       :mod:`hyperrings.classifiers`;
     * the good-homomorphism search plan of :mod:`hyperrings.construct`.
     """
@@ -439,6 +439,43 @@ def _unions(cells: Sequence[int]) -> _Memo:
     return _Memo(fill)
 
 
+def _noncommuting_pair(hmul: Sequence[Sequence[int]]) -> Optional[tuple[int, int]]:
+    """The least pair ``a < b`` with ``a o b != b o a``, or None."""
+    n = len(hmul)
+    return next(((a, b) for a in range(n) for b in range(a + 1, n)
+                 if hmul[a][b] != hmul[b][a]), None)
+
+
+def build_hyperring(
+    name: str,
+    add: Sequence[Sequence[int]],
+    hmul: Sequence[Sequence[int]],
+    provenance: Optional[dict] = None,
+) -> HyperRing:
+    """The :class:`HyperRing` of tables already known to satisfy every law.
+
+    ``hmul`` holds masks.  Commutativity is read off the tables, and the
+    identity is found by :func:`_detect_identity`.  Raw tables go through
+    :func:`validate_hyperring`, which ends here; a construction that proves
+    its output a hyperring calls this directly.
+    """
+    prov = None
+    if provenance:
+        prov = tuple(sorted((str(k), str(v)) for k, v in provenance.items()))
+    hmt = tuple(map(tuple, hmul))
+    identity, scalar = _detect_identity(len(hmt), hmt)
+    return HyperRing(
+        name=name,
+        size=len(hmt),
+        add=tuple(map(tuple, add)),
+        hmul=hmt,
+        identity=identity,
+        scalar_identity=scalar,
+        commutative=_noncommuting_pair(hmt) is None,
+        provenance=prov,
+    )
+
+
 def validate_hyperring(
     name: str,
     add: Sequence[Sequence[int]],
@@ -461,7 +498,8 @@ def validate_hyperring(
     ``c < b``: ``(a, b, c)`` fails exactly when ``(c, b, a)`` (for
     distributivity ``(a, c, b)``) fails, and ``(a, b, a)`` never fails, so
     the least failing tuple is never skipped.  Subset products and sums are
-    computed once per distinct operand mask.
+    computed once per distinct operand mask.  Once every law passes, the
+    tables go to :func:`build_hyperring`.
     """
     n = len(add)
     if n < 1:
@@ -521,8 +559,7 @@ def validate_hyperring(
         if neg[a] is None:
             raise AxiomViolation("add-inverse", (a,), "no additive inverse")
 
-    pair = next(((a, b) for a in range(n) for b in range(a + 1, n)
-                 if hmt[a][b] != hmt[b][a]), None)
+    pair = _noncommuting_pair(hmt)
     commutative = pair is None
     if require_commutative and not commutative:
         raise AxiomViolation("hmul-commutative", pair)
@@ -573,22 +610,4 @@ def validate_hyperring(
             if hmt[a][neg[b]] != negprod or hmt[neg[a]][b] != negprod:
                 raise AxiomViolation("sign-compatible", (a, b))
 
-    identity, scalar = _detect_identity(n, hmt)
-    prov = None
-    if provenance:
-        prov = tuple(sorted((str(k), str(v)) for k, v in provenance.items()))
-    ring = HyperRing(
-        name=name,
-        size=n,
-        add=addt,
-        hmul=hmt,
-        identity=identity,
-        scalar_identity=scalar,
-        commutative=commutative,
-        provenance=prov,
-    )
-    # Seed the cached ``neg`` with the inverses found above.  A cached
-    # property lives in the instance dict, outside the dataclass fields, so
-    # equality and hashing do not see it.
-    ring.__dict__["neg"] = tuple(neg)
-    return ring
+    return build_hyperring(name, addt, hmt, provenance)

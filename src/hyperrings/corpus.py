@@ -9,10 +9,12 @@ Families:
 * depth-1 closure of the base family under quotients, pairwise products
   and the 2x2 matrix construction, within size caps.
 
-Every candidate is passed through full validation; failures are discarded
-with a counted log entry, never silently.  Generation is deterministic and
-content-deduplicated, and the result can be pinned in a manifest of
-name/content-hash pairs.
+Every base candidate and every matrix structure is passed through full
+validation; quotients and products are built from tables that their
+construction proves to be a hyperring (see :mod:`hyperrings.construct`).
+Failures are discarded with a counted log entry, never silently.
+Generation is deterministic and content-deduplicated, and the result can be
+pinned in a manifest of name/content-hash pairs.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ from hyperrings.core import (
 from hyperrings.corpus import ordinary_ring
 from hyperrings.construct import (
     HOM_CANDIDATE_CAP,
-    IllFormedQuotient,
     NotAdditive,
     NotClosed,
     NotMultiplicative,
@@ -85,7 +84,9 @@ class TestQuotient:
 def frozenset_quotient(ring: HyperRing, ideal: int,
                        name: Optional[str] = None) -> QuotientImage:
     """:func:`quotient` as first written, lifting every representative cell
-    to a frozenset of classes; the oracle for the mask lift."""
+    to a frozenset of classes; the oracle for the mask lift.  It asserts that
+    every pair of representatives lifts to the same classes, which
+    :func:`quotient` proves instead of checking."""
     if not is_hyperideal(ring, ideal):
         raise ValueError("quotient requires a hyperideal")
     n = ring.size
@@ -124,8 +125,8 @@ def frozenset_quotient(ring: HyperRing, ideal: int,
                     if value is None:
                         value = classes
                         first_pair = (x, y)
-                    elif classes != value:
-                        raise IllFormedQuotient(
+                    else:
+                        assert classes == value, (
                             f"cosets ({i},{j}): representatives {first_pair} "
                             f"and {(x, y)} lift to different class sets")
             hmul_q[i][j] = sorted(value)
@@ -156,19 +157,45 @@ class TestQuotientOracle:
             assert got == quotient_outcome(frozenset_quotient, ring, m), (ring.name, m)
             assert isinstance(got, QuotientImage)  # validated input never raises
 
-    def test_ill_formed_lift_raises_the_same_message(self, z4):
-        # tables that were never validated (on a hyperring the lift always
-        # agrees): the cosets {0, 2}, {1, 3} see 1 o 1 = {1} but 1 o 3 = {0}
-        hmul = [[ZERO_MASK] * 4 for _ in range(4)]
-        hmul[1][1] = singleton(1)
-        ring = HyperRing(name="bad", size=4, add=z4.add,
-                         hmul=tuple(map(tuple, hmul)), identity=None,
-                         scalar_identity=False)
-        even = mask_of([0, 2])
-        got = quotient_outcome(quotient, ring, even)
-        assert got == quotient_outcome(frozenset_quotient, ring, even)
-        assert got == (IllFormedQuotient, "cosets (1,1): representatives (1, 1) "
-                                          "and (1, 3) lift to different class sets")
+
+def assert_validates_to_itself(ring: HyperRing) -> None:
+    """A derived ring is the ring :func:`validate_hyperring` makes of its
+    own tables: every field, the detected identity and commutativity
+    included, and the additive inverses."""
+    again = validate_hyperring(
+        ring.name, ring.add, [[elements_of(c) for c in row] for row in ring.hmul],
+        require_commutative=False, provenance=dict(ring.provenance))
+    assert again == ring, ring.name
+    assert again.neg == ring.neg, ring.name
+
+
+class TestDerivedRingsOracle:
+    """Quotients, subrings and products are built from tables that their
+    construction proves to be a hyperring, without validation."""
+
+    def test_quotients_and_subrings(self, default_corpus, small_corpus):
+        rings = [*default_corpus.rings, *small_corpus]
+        quotients = [quotient(r, m).ring for r in rings for m in hyperideal_masks(r)]
+        subrings = [subhyperring_restrict(r, t).ring for r in rings
+                    for t in subhyperring_masks(r)]
+        assert (len(quotients), len(subrings)) == (402, 445)
+        m2 = next(r for r in default_corpus.rings if not r.commutative)
+        assert m2.name == "M2(Z2)"
+        m2_subrings = [subhyperring_restrict(m2, t).ring
+                       for t in subhyperring_masks(m2)]
+        # commutativity is read off the subring, not inherited from M2(Z2)
+        assert (len(m2_subrings), sum(s.commutative for s in m2_subrings)) == (28, 18)
+        for ring in quotients + subrings:
+            assert_validates_to_itself(ring)
+
+    def test_products(self, default_corpus, small_corpus):
+        base = default_corpus.rings
+        pairs = [(a, b) for i, a in enumerate(base) for b in base[i:]
+                 if a.size * b.size <= 12]
+        pairs += [(a, b) for a in small_corpus for b in small_corpus]
+        assert len(pairs) == 912
+        for r1, r2 in pairs:
+            assert_validates_to_itself(direct_product(r1, r2))
 
 
 class TestDirectProduct:

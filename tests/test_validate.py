@@ -278,17 +278,18 @@ class TestAgainstReference:
                 assert_same_outcome(add, new, ring.commutative)
 
 
-class TestSeededInverses:
+class TestInverses:
     def test_neg_matches_scan_and_a_directly_built_ring(self, default_corpus):
         for ring in default_corpus.rings:
             n = ring.size
             scan = tuple(next(b for b in range(n) if ring.add[a][b] == 0)
                          for a in range(n))
-            direct = dataclasses.replace(ring)  # HyperRing(...), neg not seeded
-            assert "neg" in vars(ring) and "neg" not in vars(direct)
+            direct = dataclasses.replace(ring)  # HyperRing(...), neg not cached
             assert ring.neg == scan, ring.name
+            assert "neg" in vars(ring) and "neg" not in vars(direct)
             assert direct.neg == scan, ring.name
-            # the seeded cache is not a field: equality and hashing ignore it
+            # the cached inverses are not a field: equality and hashing
+            # ignore them
             assert direct == ring and hash(direct) == hash(ring)
 
 
