@@ -6,7 +6,11 @@ quotient R/γ*.
 (Vougiouklis, "The fundamental relation in hyperrings", 1991; Davvaz &
 Leoreanu-Fotea, *Hyperring Theory and Applications*, 2007).  It is built
 here as a congruence closure with union-find, not by listing the finite
-sums of finite products that define it.
+sums of finite products that define it.  Given that both lifted
+operations are single-valued on the classes, R/γ* is the image of R under
+a map that preserves + exactly and sends each hyperproduct cell into one
+class, so every ring law except commutativity passes to it from R; only
+commutativity is checked on its tables.
 
 Quotients, products and subring restrictions prove their output tables a
 hyperring (the proofs are in their docstrings) and hand them to
@@ -29,6 +33,7 @@ from .core import (
     CapExceeded,
     HyperRing,
     HyperRingError,
+    _noncommuting_pair,
     build_hyperring,
     cached_on_ring,
     hprod,
@@ -357,6 +362,15 @@ def _hom_plan(source: HyperRing) -> tuple[tuple[int, ...], tuple, tuple]:
     return tuple(gens), tuple(steps), tuple(edges)
 
 
+@cached_on_ring
+def _hom_cells(source: HyperRing, skip: int, half: bool) -> tuple:
+    """The hyperproduct cells ``(x, y, members of x o y)`` the hom search
+    compares: ``x, y >= skip``, and ``x <= y`` when ``half``."""
+    n = source.size
+    return tuple((x, y, bits(source.hmul[x][y])) for x in range(skip, n)
+                 for y in range(x if half else skip, n))
+
+
 def enumerate_good_homomorphisms(source: HyperRing,
                                  target: HyperRing) -> list[GoodHomomorphism]:
     """All good homomorphisms, found by assigning generator images.
@@ -369,7 +383,8 @@ def enumerate_good_homomorphisms(source: HyperRing,
     ``f(a + g) = f(a) + f(g)`` on every other (element, generator) edge.
     That proves additivity: every y is a sum of generators, and induction on
     that sum gives ``f(x + y) = f(x) + f(y)``.  The generators, steps and
-    edges depend on the source alone and are kept on it.
+    edges depend on the source alone and are kept on it, and so are the
+    cells below, once per choice of the two prunings.
 
     Only the hyperproduct cells ``f(x o y) = f(x) o f(y)`` that can fail are
     then compared, stopping at the first one that fails:
@@ -395,25 +410,25 @@ def enumerate_good_homomorphisms(source: HyperRing,
                for g in gens]
     n = source.size
     skip = int(source.absorb[0] == ZERO_MASK and target.absorb[0] == ZERO_MASK)
-    half = source.commutative and target.commutative
-    cells = [(x, y, bits(source.hmul[x][y])) for x in range(skip, n)
-             for y in range(x if half else skip, n)]
+    cells = _hom_cells(source, skip, source.commutative and target.commutative)
     found: list[GoodHomomorphism] = []
     for images in itertools.product(*choices):
         f = [0] * n
         for b, a, i in steps:
             f[b] = tadd[f[a]][images[i]]
-        if any(f[b] != tadd[f[a]][images[i]] for b, a, i in edges):
-            continue
-        for x, y, cell in cells:
-            image = 0
-            for t in cell:
-                image |= 1 << f[t]
-            if image != thmul[f[x]][f[y]]:
+        for b, a, i in edges:
+            if f[b] != tadd[f[a]][images[i]]:
                 break
         else:
-            found.append(GoodHomomorphism(source=source, target=target,
-                                          mapping=tuple(f)))
+            for x, y, cell in cells:
+                image = 0
+                for t in cell:
+                    image |= 1 << f[t]
+                if image != thmul[f[x]][f[y]]:
+                    break
+            else:
+                found.append(GoodHomomorphism(source=source, target=target,
+                                              mapping=tuple(f)))
     found.sort(key=lambda h: h.mapping)
     return found
 
@@ -562,29 +577,6 @@ class OrdinaryRing:
         return True
 
 
-def verify_ordinary_ring(ring: OrdinaryRing) -> None:
-    n = ring.size
-    for a in range(n):
-        if ring.add[a][0] != a:
-            raise AxiomViolation("ring-add-identity", (a,))
-        if not any(ring.add[a][b] == 0 for b in range(n)):
-            raise AxiomViolation("ring-add-inverse", (a,))
-    for a in range(n):
-        for b in range(n):
-            if ring.add[a][b] != ring.add[b][a]:
-                raise AxiomViolation("ring-add-commutative", (a, b))
-            if ring.mul[a][b] != ring.mul[b][a]:
-                raise AxiomViolation("ring-mul-commutative", (a, b))
-            for c in range(n):
-                if ring.add[ring.add[a][b]][c] != ring.add[a][ring.add[b][c]]:
-                    raise AxiomViolation("ring-add-associative", (a, b, c))
-                if ring.mul[ring.mul[a][b]][c] != ring.mul[a][ring.mul[b][c]]:
-                    raise AxiomViolation("ring-mul-associative", (a, b, c))
-                if ring.mul[a][ring.add[b][c]] != \
-                        ring.add[ring.mul[a][b]][ring.mul[a][c]]:
-                    raise AxiomViolation("ring-distributive", (a, b, c))
-
-
 def classical_n_ideal(ring: OrdinaryRing, members: int) -> bool:
     """Ordinary-ring test: a proper ideal where ``xy`` inside and x not
     nilpotent force y inside; the nilradical is computed by powers."""
@@ -660,9 +652,20 @@ def fundamental_ring(ring: HyperRing,
     hyperproduct inside one class and is compatible with addition and, on
     both sides, with the hyperoperation (Vougiouklis 1991); that congruence
     closure is what is computed.  Both lifted operations are verified to be
-    single-valued on classes, and the resulting tables are checked against
-    all ordinary commutative-ring axioms.  ``gamma_cap`` bounds the carrier
-    size.
+    single-valued on classes (:class:`IllDefinedQuotient`).
+
+    Given that, the projection p is onto and satisfies
+    ``p(x + y) = p(x) + p(y)`` and ``p(x) p(y) = p(t)`` for every t in
+    ``x o y``.  So ``(p(x) p(y)) p(z)`` and ``p(x) (p(y) p(z))`` are both the
+    one class of ``(x o y) o z = x o (y o z)``.  A member ``u + v`` of
+    ``x o (y+z) <= x o y + x o z`` gives
+    ``p(x) (p(y) + p(z)) = p(x) p(y) + p(x) p(z)``, and the right-hand law
+    follows from commutativity or, on a non-commutative carrier, from the
+    right-hand weak distributivity that validation checks.  The zero and
+    negatives are images.  So every ring law but commutativity passes from R
+    to R/γ*, and commutativity alone is checked: the least non-commuting
+    pair raises ``AxiomViolation("ring-mul-commutative")`` (``M2(Z2)``).
+    ``gamma_cap`` bounds the carrier size.
     """
     if ring.size > gamma_cap:
         raise CapExceeded("carrier size", ring.size, gamma_cap)
@@ -698,7 +701,9 @@ def fundamental_ring(ring: HyperRing,
         add=tuple(tuple(row) for row in add_t),
         mul=tuple(tuple(row) for row in mul_t),
     )
-    verify_ordinary_ring(out)
+    pair = _noncommuting_pair(out.mul)
+    if pair is not None:
+        raise AxiomViolation("ring-mul-commutative", pair)
     return FundamentalRingImage(
         source_name=ring.name,
         classes=tuple(class_masks),

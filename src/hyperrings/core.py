@@ -92,11 +92,12 @@ class HyperRing:
     Functions of the ring kept here by :func:`cached_on_ring`, once per
     argument list; each returns an immutable value:
 
-    * ``hyperideal_masks``, ``product_family``, ``prime_masks`` and
-      ``zero_radical`` of :mod:`hyperrings.ideals`;
+    * ``principal_masks``, ``hyperideal_masks``, ``product_family``,
+      ``prime_masks`` and ``zero_radical`` of :mod:`hyperrings.ideals`;
     * ``r_witness``, ``class_members`` and ``minimal_primes`` of
       :mod:`hyperrings.classifiers`;
-    * the good-homomorphism search plan of :mod:`hyperrings.construct`.
+    * the good-homomorphism search plan and the hyperproduct cells it
+      compares, of :mod:`hyperrings.construct`.
     """
 
     name: str

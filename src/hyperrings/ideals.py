@@ -1,10 +1,10 @@
 """Hyperideal recognition, generation, enumeration and arithmetic.
 
 All ideal-valued results are bitmasks over the ring carrier.  The
-enumeration walks the closure lattice (principal ideals extended one
-generator at a time) rather than scanning all ``2^n`` subsets, which keeps
-exhaustive classification cheap; a brute-force subset scan is kept in the
-test suite as the oracle for it.
+enumeration closes the distinct principal ideals under the set sum ``I + J``
+rather than scanning all ``2^n`` subsets, which keeps exhaustive
+classification cheap; a brute-force subset scan is kept in the test suite
+as the oracle for it.
 """
 
 from __future__ import annotations
@@ -113,27 +113,40 @@ def generated_ideal(ring: HyperRing, gens: int) -> IdealProfile:
 
 
 @cached_on_ring
+def principal_masks(ring: HyperRing) -> tuple[int, ...]:
+    """``principal_masks(ring)[x]``: the hyperideal generated by x."""
+    return tuple(generated_ideal_mask(ring, singleton(x)) for x in range(ring.size))
+
+
+@cached_on_ring
 def hyperideal_masks(ring: HyperRing, cap: Optional[int] = None) -> tuple[int, ...]:
     """All hyperideals of the ring, sorted by cardinality then mask.
 
-    Every hyperideal is the closure of its own elements, so extending
-    already-found ideals by one extra generator reaches the whole family.
+    For hyperideals I and J the set sum ``I + J`` is the least hyperideal
+    containing both.  It is closed under subtraction, since + is an abelian
+    group, and weak distributivity gives ``r o (i+j) <= r o i + r o j``,
+    which lies in ``I + J``; on a non-commutative carrier
+    ``(i+j) o r <= i o r + j o r`` as well, which validation checks and
+    subrings, quotients and products inherit.  Any hyperideal containing I
+    and J contains every ``i + j``.  So the ideal generated by ``m`` and x
+    is ``m + <x>``, every hyperideal is the sum of the principal ideals of
+    its elements, and closing the distinct principal ideals under sums
+    reaches the whole family.
     """
     cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
     if ring.size > cap:
         raise CapExceeded("carrier size", ring.size, cap)
+    principal = set(principal_masks(ring))
     found: set[int] = set()
-    work = [generated_ideal_mask(ring, singleton(a)) for a in range(ring.size)]
+    work = list(principal)
     while work:
         m = work.pop()
         if m in found:
             continue
         found.add(m)
-        if m == ring.carrier_mask:
-            continue
-        for x in range(ring.size):
-            if not m & singleton(x):
-                work.append(generated_ideal_mask(ring, m | singleton(x)))
+        for p in principal:
+            if p & ~m:
+                work.append(set_sum(ring, m, p))
     return tuple(sorted(found, key=subset_key))
 
 
@@ -203,14 +216,21 @@ def set_product(ring: HyperRing, left: int, right: int) -> int:
     return hprod(ring, left, right)
 
 
-def ideal_product(ring: HyperRing, left: int, right: int) -> IdealProfile:
-    """Additive closure of the set product, repaired by generation if needed."""
+def ideal_product_mask(ring: HyperRing, left: int, right: int) -> tuple[int, bool]:
+    """Additive closure of the set product, repaired by generation if needed;
+    the flag records the repair."""
     raw = additive_closure(ring, hprod(ring, left, right))
     if is_hyperideal(ring, raw):
-        return profile(ring, raw)
+        return raw, False
     log.warning("%s: product of ideals was not closed; repaired by generation",
                 ring.name)
-    return profile(ring, generated_ideal_mask(ring, raw), repaired=True)
+    return generated_ideal_mask(ring, raw), True
+
+
+def ideal_product(ring: HyperRing, left: int, right: int) -> IdealProfile:
+    """:func:`ideal_product_mask` as a profile."""
+    members, repaired = ideal_product_mask(ring, left, right)
+    return profile(ring, members, repaired=repaired)
 
 
 def ideal_intersection(ring: HyperRing, left: int, right: int) -> IdealProfile:

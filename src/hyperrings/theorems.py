@@ -93,9 +93,10 @@ from .ideals import (
     colon,
     generated_ideal_mask,
     hyperideal_masks,
-    ideal_product,
+    ideal_product_mask,
     is_C_hyperideal,
     is_hyperideal,
+    principal_masks,
     set_product,
     zero_radical,
 )
@@ -286,7 +287,7 @@ class RingContext:
         def compute() -> int:
             if rd.product == "raw":
                 return set_product(self.ring, left, right)
-            return ideal_product(self.ring, left, right).members
+            return ideal_product_mask(self.ring, left, right)[0]
         return self._memo(("prod", rd.product, left, right), compute)
 
     def colon(self, members: int, against: int) -> int:
@@ -551,12 +552,12 @@ def _t01(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
        axes=("regular",))
 def _t02(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     reg = ctx.reg(rd)
+    principal = principal_masks(ctx.ring)
     for i_mask in ctx.proper():
         s1 = ctx.r_ok(i_mask)
         s2 = True
         for a in bits(reg):
-            gen_a = generated_ideal_mask(ctx.ring, singleton(a))
-            if gen_a & i_mask != hprod(ctx.ring, singleton(a), i_mask):
+            if principal[a] & i_mask != hprod(ctx.ring, singleton(a), i_mask):
                 s2 = False
                 break
         s3 = True

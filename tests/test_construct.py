@@ -40,7 +40,6 @@ from hyperrings.construct import (
     quotient,
     subhyperring_masks,
     subhyperring_restrict,
-    verify_ordinary_ring,
 )
 from hyperrings.ideals import hyperideal_masks, is_hyperideal, product_family
 
@@ -470,6 +469,27 @@ class TestFundamentalRing:
         with pytest.raises(AxiomViolation) as exc:
             fundamental_ring(matrix_hyperring(z2, 2), gamma_cap=16)
         assert exc.value.axiom == "ring-mul-commutative"
+        assert exc.value.witness == (1, 2)
+        assert str(exc.value) == \
+            "axiom 'ring-mul-commutative' violated at witness (1, 2)"
+
+    def test_tables_pass_every_ring_axiom(self, default_corpus):
+        # fundamental_ring checks only commutativity; the other laws pass
+        # from R by the argument in its docstring, and the oracle checks
+        # them all, commutativity included
+        checked = 0
+        for ring in default_corpus.rings:
+            try:
+                fund = fundamental_ring(ring, gamma_cap=ring.size)
+            except AxiomViolation as exc:
+                with pytest.raises(AxiomViolation) as oracle:
+                    verify_ordinary_ring(_gamma_tables(ring))
+                assert (oracle.value.axiom, oracle.value.witness) == \
+                    (exc.axiom, exc.witness), ring.name
+                continue
+            verify_ordinary_ring(fund.ring)
+            checked += 1
+        assert checked == len(default_corpus.rings) - 1
 
     @pytest.mark.parametrize("a_set, classes", [
         (((1, 0, 0), (1, 0, 1)), 2),
@@ -481,6 +501,43 @@ class TestFundamentalRing:
         fund = fundamental_ring(ring)
         assert fund.ring.size == classes
         assert fund.projection == _oracle_projection(ring)
+        verify_ordinary_ring(fund.ring)
+
+
+def verify_ordinary_ring(ring: OrdinaryRing) -> None:
+    """Oracle: every commutative-ring axiom, scanned in full; the first
+    failure raises with its least witness."""
+    n = ring.size
+    for a in range(n):
+        if ring.add[a][0] != a:
+            raise AxiomViolation("ring-add-identity", (a,))
+        if not any(ring.add[a][b] == 0 for b in range(n)):
+            raise AxiomViolation("ring-add-inverse", (a,))
+    for a in range(n):
+        for b in range(n):
+            if ring.add[a][b] != ring.add[b][a]:
+                raise AxiomViolation("ring-add-commutative", (a, b))
+            if ring.mul[a][b] != ring.mul[b][a]:
+                raise AxiomViolation("ring-mul-commutative", (a, b))
+            for c in range(n):
+                if ring.add[ring.add[a][b]][c] != ring.add[a][ring.add[b][c]]:
+                    raise AxiomViolation("ring-add-associative", (a, b, c))
+                if ring.mul[ring.mul[a][b]][c] != ring.mul[a][ring.mul[b][c]]:
+                    raise AxiomViolation("ring-mul-associative", (a, b, c))
+                if ring.mul[a][ring.add[b][c]] != \
+                        ring.add[ring.mul[a][b]][ring.mul[a][c]]:
+                    raise AxiomViolation("ring-distributive", (a, b, c))
+
+
+def _gamma_tables(ring: HyperRing) -> OrdinaryRing:
+    """The class tables of R/γ*, read off each class's least member."""
+    proj = _oracle_projection(ring)
+    reps = sorted({proj.index(c) for c in proj})
+    return OrdinaryRing(
+        name=ring.name, size=len(reps),
+        add=tuple(tuple(proj[ring.add[x][y]] for y in reps) for x in reps),
+        mul=tuple(tuple(proj[(ring.hmul[x][y] & -ring.hmul[x][y]).bit_length() - 1]
+                        for y in reps) for x in reps))
 
 
 def _triangular_z2_with_products(a_set) -> HyperRing:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperrings.bitsets import elements_of, is_subset, mask_of
+from hyperrings.bitsets import elements_of, is_subset, mask_of, singleton
+from hyperrings.construct import quotient, subhyperring_masks, subhyperring_restrict
 from hyperrings.core import ZERO_MASK, CapExceeded
 from hyperrings.corpus import ordinary_ring, zn_with_products
 from hyperrings.ideals import (
@@ -22,6 +23,7 @@ from hyperrings.ideals import (
     ideal_sum,
     is_C_hyperideal,
     is_hyperideal,
+    principal_masks,
     product_family,
     radical,
     radical_via_powers,
@@ -91,15 +93,33 @@ class TestEnumeration:
         assert [elements_of(m) for m in hyperideal_masks(z6)] == \
             [[0], [0, 3], [0, 2, 4], [0, 1, 2, 3, 4, 5]]
 
-    def test_matches_brute_force_oracle(self, default_corpus):
+    def test_matches_brute_force_oracle(self, default_corpus, small_corpus):
         # sizes above 8 reach the two-byte path of ``bits``; M2(Z2) is the
-        # non-commutative carrier, where absorption is two-sided
+        # non-commutative carrier, where absorption is two-sided.  The small
+        # corpus holds rings without an absorbing zero, and quotients and
+        # subrings are built from their proved tables unvalidated: the
+        # enumeration rests on weak distributivity on both sides, which all
+        # of these inherit
         rings = [r for r in default_corpus.rings
                  if r.size <= 12 or r.name == "M2(Z2)"]
-        assert any(not r.commutative for r in rings)
+        assert sum(r.absorb[0] != ZERO_MASK for r in small_corpus) == 19
+        rings += small_corpus
+        for base in [*default_corpus.rings, *small_corpus]:
+            rings += [q for q in (quotient(base, m).ring
+                                  for m in hyperideal_masks(base)) if q.size <= 8]
+            rings += [subhyperring_restrict(base, t).ring
+                      for t in subhyperring_masks(base) if t.bit_count() <= 8]
+        assert sum(not r.commutative for r in rings) == 10
         for ring in rings:
             assert list(hyperideal_masks(ring, 16)) == brute_force_ideals(ring), \
                 ring.name
+
+    def test_principal_masks_are_the_generated_ideals(self, default_corpus,
+                                                      small_corpus):
+        for ring in [*default_corpus.rings, *small_corpus]:
+            assert principal_masks(ring) == tuple(
+                generated_ideal_mask(ring, singleton(x)) for x in range(ring.size)
+            ), ring.name
 
     def test_cap_enforced(self):
         ring = ordinary_ring(17)
