@@ -111,23 +111,22 @@ def is_r_hyperideal(ring: HyperRing, members: int, mode: str = MODE_RELAXED,
     return r_closure_holds(ring, members, regular)
 
 
-def n_witness(ring: HyperRing, members: int,
-              cap: Optional[int] = None) -> Optional[tuple[int, int]]:
+def n_witness(ring: HyperRing, members: int) -> Optional[tuple[int, int]]:
     """Least (x, y) with x outside the radical of zero, ``x o y`` inside the
     ideal, y outside."""
     full = ring.carrier_mask
-    return law_witness(ring, members, full & ~zero_radical(ring, cap),
+    return law_witness(ring, members, full & ~zero_radical(ring),
                        full & ~members)
 
 
-def is_n_hyperideal(ring: HyperRing, members: int, mode: str = MODE_RELAXED,
-                    cap: Optional[int] = None) -> bool:
+def is_n_hyperideal(ring: HyperRing, members: int,
+                    mode: str = MODE_RELAXED) -> bool:
     """n-law on a proper hyperideal: ``x o y`` inside I with x outside the
     radical of zero forces y into I.  Properness is part of the definition
     in both modes."""
     if members == ring.carrier_mask:
         return False
-    return n_witness(ring, members, cap) is None
+    return n_witness(ring, members) is None
 
 
 CLASS_HYPERIDEAL = "hyperideal"
@@ -138,22 +137,21 @@ CLASS_N = "n_ideal"
 
 @cached_on_ring
 def class_members(ring: HyperRing, which: str, mode: str = MODE_RELAXED,
-                  regular: str = REGULAR_NZD,
-                  cap: Optional[int] = None) -> tuple[int, ...]:
+                  regular: str = REGULAR_NZD) -> tuple[int, ...]:
     """Proper hyperideals of the requested class, in canonical order."""
     if which == CLASS_PRIME:
-        primes = prime_masks(ring, cap)
+        primes = prime_masks(ring)
         if mode == MODE_STRICT:
             return tuple(m for m in primes if m != ZERO_MASK)
         return primes
-    proper = tuple(m for m in hyperideal_masks(ring, cap)
+    proper = tuple(m for m in hyperideal_masks(ring)
                    if m != ring.carrier_mask)
     if which == CLASS_HYPERIDEAL:
         return proper
     if which == CLASS_R:
         return tuple(m for m in proper if r_closure_holds(ring, m, regular))
     if which == CLASS_N:
-        return tuple(m for m in proper if is_n_hyperideal(ring, m, mode, cap))
+        return tuple(m for m in proper if is_n_hyperideal(ring, m, mode))
     raise ValueError(f"unknown ideal class {which!r}")
 
 
@@ -167,35 +165,31 @@ def maximal_members(family: tuple[int, ...],
 
 
 def is_maximal_in_class(ring: HyperRing, members: int, which: str,
-                        mode: str = MODE_RELAXED, regular: str = REGULAR_NZD,
-                        cap: Optional[int] = None) -> bool:
-    return members in maximal_members(
-        class_members(ring, which, mode, regular, cap))
+                        mode: str = MODE_RELAXED,
+                        regular: str = REGULAR_NZD) -> bool:
+    return members in maximal_members(class_members(ring, which, mode, regular))
 
 
-def is_minimal_nonzero(ring: HyperRing, members: int,
-                       cap: Optional[int] = None) -> bool:
+def is_minimal_nonzero(ring: HyperRing, members: int) -> bool:
     """Minimal among hyperideals that contain a nonzero element."""
     if members == ZERO_MASK:
         return False
-    for m in hyperideal_masks(ring, cap):
+    for m in hyperideal_masks(ring):
         if m != ZERO_MASK and m != members and is_subset(m, members):
             return False
     return True
 
 
 @cached_on_ring
-def minimal_primes(ring: HyperRing, mode: str = MODE_RELAXED,
-                   cap: Optional[int] = None) -> tuple[int, ...]:
-    return maximal_members(
-        class_members(ring, CLASS_PRIME, mode, REGULAR_NZD, cap), minimal=True)
+def minimal_primes(ring: HyperRing, mode: str = MODE_RELAXED) -> tuple[int, ...]:
+    return maximal_members(class_members(ring, CLASS_PRIME, mode), minimal=True)
 
 
-def is_essential(ring: HyperRing, members: int, cap: Optional[int] = None) -> bool:
+def is_essential(ring: HyperRing, members: int) -> bool:
     """Nonzero, and meets every nonzero hyperideal beyond {0}."""
     if members == ZERO_MASK:
         return False
-    for m in hyperideal_masks(ring, cap):
+    for m in hyperideal_masks(ring):
         if m == ZERO_MASK:
             continue
         if members & m == ZERO_MASK:
@@ -235,32 +229,31 @@ def is_r_mult_closed(ring: HyperRing, subset: int, regular: str = REGULAR_NZD,
     return is_subset(hprod(ring, reg & subset, subset), subset)
 
 
-def is_n_mult_closed(ring: HyperRing, subset: int,
-                     cap: Optional[int] = None) -> bool:
+def is_n_mult_closed(ring: HyperRing, subset: int) -> bool:
     """Contains everything outside the radical of zero and is closed under
     multiplication by such elements."""
     if subset == 0:
         return False
-    outside = ring.carrier_mask & ~zero_radical(ring, cap)
+    outside = ring.carrier_mask & ~zero_radical(ring)
     return is_subset(outside, subset) \
         and is_subset(hprod(ring, outside, subset), subset)
 
 
-def maximal_disjoint_masks(ring: HyperRing, subset: int, seed: int,
-                           cap: Optional[int] = None) -> list[int]:
+def maximal_disjoint_masks(ring: HyperRing, subset: int,
+                           seed: int) -> list[int]:
     """All hyperideals containing the seed, disjoint from the subset, and
     maximal under inclusion among such."""
     if seed & subset:
         raise NotDisjoint("seed ideal meets the closed subset")
     return list(maximal_members(tuple(
-        m for m in hyperideal_masks(ring, cap)
+        m for m in hyperideal_masks(ring)
         if is_subset(seed, m) and not m & subset)))
 
 
-def maximal_disjoint_ideal(ring: HyperRing, subset: int, seed: int,
-                           cap: Optional[int] = None) -> IdealProfile:
+def maximal_disjoint_ideal(ring: HyperRing, subset: int,
+                           seed: int) -> IdealProfile:
     """Deterministic representative (canonical-least) maximal disjoint ideal."""
-    options = maximal_disjoint_masks(ring, subset, seed, cap)
+    options = maximal_disjoint_masks(ring, subset, seed)
     if not options:
         raise NotDisjoint("no hyperideal contains the seed and avoids the subset")
     return profile(ring, min(options, key=subset_key))
@@ -280,24 +273,23 @@ class ClassificationFlags:
 
 
 def classify_ideal(ring: HyperRing, members: int, mode: str = MODE_RELAXED,
-                   regular: str = REGULAR_NZD,
-                   cap: Optional[int] = None) -> ClassificationFlags:
+                   regular: str = REGULAR_NZD) -> ClassificationFlags:
     """Every flag of one ideal; each law is scanned once, for its witness,
     and its flag is read off that witness."""
     proper = members != ring.carrier_mask
     strict = mode == MODE_STRICT
     prime_w = prime_witness(ring, members) if proper else None
     r_w = r_witness(ring, members, regular)
-    n_w = n_witness(ring, members, cap) if proper else None
+    n_w = n_witness(ring, members) if proper else None
     witnesses = tuple((name, w) for name, w in (
         ("prime", prime_w), ("r_ideal", r_w), ("n_ideal", n_w)) if w is not None)
     return ClassificationFlags(
         prime=proper and prime_w is None and not (strict and members == ZERO_MASK),
         primary=is_primary(ring, members, mode),
         maximal=is_maximal_in_class(ring, members, CLASS_HYPERIDEAL, mode,
-                                    regular, cap),
-        minimal_nonzero=is_minimal_nonzero(ring, members, cap),
-        essential=is_essential(ring, members, cap),
+                                    regular),
+        minimal_nonzero=is_minimal_nonzero(ring, members),
+        essential=is_essential(ring, members),
         r_ideal=r_w is None and (proper or not strict),
         n_ideal=proper and n_w is None,
         is_C=is_C_hyperideal(ring, members),

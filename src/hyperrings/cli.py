@@ -17,7 +17,6 @@ from .bitsets import elements_of, mask_of
 from .classifiers import classify_ideal
 from .core import HyperRing, HyperRingError, classify_ring
 from .construct import (
-    DEFAULT_GAMMA_CAP,
     direct_product,
     fundamental_ring,
     matrix_hyperring,
@@ -64,7 +63,7 @@ def _cmd_ideals(args: argparse.Namespace) -> int:
         "is_hyperideal": p.is_hyperideal,
         "is_C": p.is_C,
         "is_proper": p.is_proper,
-    } for p in enumerate_hyperideals(ring, args.cap)]
+    } for p in enumerate_hyperideals(ring)]
     _emit(listing, args.json)
     return 0
 
@@ -74,10 +73,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if args.ideal:
         masks = [mask_of(int(t) for t in args.ideal.split(","))]
     else:
-        masks = [p.members for p in enumerate_hyperideals(ring, args.cap)]
+        masks = [p.members for p in enumerate_hyperideals(ring)]
     report = {"ring": ring.name, "mode": args.mode, "ideals": []}
     for members in masks:
-        flags = classify_ideal(ring, members, mode=args.mode, cap=args.cap)
+        flags = classify_ideal(ring, members, mode=args.mode)
         report["ideals"].append({
             "elements": elements_of(members),
             "prime": flags.prime,
@@ -183,7 +182,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     elif args.kind == "matrix":
         out = matrix_hyperring(ring, args.n)
     elif args.kind == "gamma-star":
-        fund = fundamental_ring(ring, gamma_cap=args.gamma_cap)
+        fund = fundamental_ring(ring)
         _emit({
             "construction": "gamma-star",
             "source": fund.source_name,
@@ -212,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ideals", help="list all hyperideals of a ring")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=16)
     p.add_argument("--json", help="write JSON here instead of stdout")
     p.set_defaults(fn=_cmd_ideals)
 
@@ -220,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--ideal", help="comma-separated elements of one ideal")
     p.add_argument("--mode", choices=("relaxed", "strict"), default="relaxed")
-    p.add_argument("--cap", type=int, default=16)
     p.add_argument("--json")
     p.set_defaults(fn=_cmd_classify)
 
@@ -256,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("other", nargs="?", help="second ring file for products")
     p.add_argument("--ideal", help="comma-separated ideal elements (quotient)")
     p.add_argument("--n", type=int, default=2, help="matrix dimension")
-    p.add_argument("--gamma-cap", type=int, default=DEFAULT_GAMMA_CAP)
     p.add_argument("--out", help="write the result here instead of stdout")
     p.set_defaults(fn=_cmd_construct)
 

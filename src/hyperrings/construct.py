@@ -17,7 +17,9 @@ hyperring (the proofs are in their docstrings) and hand them to
 :func:`~hyperrings.core.build_hyperring`.  The matrix construction is
 validated in full: weak distributivity does not make its product
 associative.  It is the single place allowed to produce a non-commutative
-carrier (flagged on the result).
+carrier (flagged on the result), and the only construction with a carrier
+cap, since its carrier has ``|R|^(n*n)`` elements; γ* and the others run
+at any carrier size.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ from .core import (
     set_sum,
     validate_hyperring,
 )
-from .ideals import DEFAULT_ENUMERATION_CAP, is_hyperideal
+from .ideals import is_hyperideal
 
-DEFAULT_GAMMA_CAP = 10
+MATRIX_CARRIER_CAP = 16  # the default bound on the |R|^(n*n) matrix carrier
 HOM_CANDIDATE_CAP = 65536  # raw generator assignments one hom search may try
 
 
@@ -198,7 +200,7 @@ def product_factor_sizes(ring: HyperRing) -> Optional[tuple[int, int]]:
 
 
 def matrix_hyperring(ring: HyperRing, n: int,
-                     cap: int = DEFAULT_ENUMERATION_CAP,
+                     cap: int = MATRIX_CARRIER_CAP,
                      name: Optional[str] = None) -> HyperRing:
     """The n-by-n matrix structure over the ring (n at most 2).
 
@@ -642,8 +644,7 @@ def _gamma_star(ring: HyperRing) -> UnionFind:
     return uf
 
 
-def fundamental_ring(ring: HyperRing,
-                     gamma_cap: int = DEFAULT_GAMMA_CAP) -> FundamentalRingImage:
+def fundamental_ring(ring: HyperRing) -> FundamentalRingImage:
     """Quotient by γ*, the smallest equivalence whose quotient is an
     ordinary ring.
 
@@ -665,10 +666,7 @@ def fundamental_ring(ring: HyperRing,
     negatives are images.  So every ring law but commutativity passes from R
     to R/γ*, and commutativity alone is checked: the least non-commuting
     pair raises ``AxiomViolation("ring-mul-commutative")`` (``M2(Z2)``).
-    ``gamma_cap`` bounds the carrier size.
     """
-    if ring.size > gamma_cap:
-        raise CapExceeded("carrier size", ring.size, gamma_cap)
     uf = _gamma_star(ring)
     roots = sorted(set(uf.find(x) for x in range(ring.size)))
     index = {r: i for i, r in enumerate(roots)}

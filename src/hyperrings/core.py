@@ -234,9 +234,9 @@ def cached_on_ring(fn: Callable) -> Callable:
     The values live in the ring's instance dict, like a cached property's,
     so equality and hashing do not see them, under the function's dotted
     name, which no attribute can have; an exception is not kept.  As with
-    :func:`functools.lru_cache`, ``f(r, 16)`` and ``f(r, cap=16)`` are two
-    argument lists, and ``cache_info()`` counts hits and misses (calls of
-    ``fn``) over all rings."""
+    :func:`functools.lru_cache`, ``f(r, "strict")`` and
+    ``f(r, mode="strict")`` are two argument lists, and ``cache_info()``
+    counts hits and misses (calls of ``fn``) over all rings."""
     slot = f"{fn.__module__}.{fn.__qualname__}"
     counts = [0, 0]
 

@@ -42,7 +42,6 @@ class CorpusSpec:
     closure_depth: int = 1
     product_size_cap: int = 12
     matrix_size_cap: int = 16
-    enumeration_cap: int = 16
 
 
 @dataclass
@@ -141,9 +140,7 @@ def generate_corpus(spec: CorpusSpec = CorpusSpec()) -> CorpusResult:
     if spec.closure_depth >= 1:
         base = list(result.rings)
         for ring in base:
-            if ring.size > spec.enumeration_cap:
-                continue
-            proper = [m for m in hyperideal_masks(ring, spec.enumeration_cap)
+            proper = [m for m in hyperideal_masks(ring)
                       if m != ring.carrier_mask and m != 1]
             for members in proper:
                 label = f"{ring.name}/{{{','.join(map(str, elements_of(members)))}}}"

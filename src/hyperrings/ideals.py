@@ -2,9 +2,9 @@
 
 All ideal-valued results are bitmasks over the ring carrier.  The
 enumeration closes the distinct principal ideals under the set sum ``I + J``
-rather than scanning all ``2^n`` subsets, which keeps exhaustive
-classification cheap; a brute-force subset scan is kept in the test suite
-as the oracle for it.
+rather than scanning all ``2^n`` subsets, so it runs on a carrier of any
+size, and so do the classifications built on it; a brute-force subset scan
+is kept in the test suite as the oracle for it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .core import (
 
 log = logging.getLogger(__name__)
 
-DEFAULT_ENUMERATION_CAP = 16
 PRODUCT_FAMILY_CAP = 4096
 
 
@@ -119,7 +118,7 @@ def principal_masks(ring: HyperRing) -> tuple[int, ...]:
 
 
 @cached_on_ring
-def hyperideal_masks(ring: HyperRing, cap: Optional[int] = None) -> tuple[int, ...]:
+def hyperideal_masks(ring: HyperRing) -> tuple[int, ...]:
     """All hyperideals of the ring, sorted by cardinality then mask.
 
     For hyperideals I and J the set sum ``I + J`` is the least hyperideal
@@ -133,9 +132,6 @@ def hyperideal_masks(ring: HyperRing, cap: Optional[int] = None) -> tuple[int, .
     its elements, and closing the distinct principal ideals under sums
     reaches the whole family.
     """
-    cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
-    if ring.size > cap:
-        raise CapExceeded("carrier size", ring.size, cap)
     principal = set(principal_masks(ring))
     found: set[int] = set()
     work = list(principal)
@@ -150,8 +146,8 @@ def hyperideal_masks(ring: HyperRing, cap: Optional[int] = None) -> tuple[int, .
     return tuple(sorted(found, key=subset_key))
 
 
-def enumerate_hyperideals(ring: HyperRing, cap: Optional[int] = None) -> list[IdealProfile]:
-    return [profile(ring, m) for m in hyperideal_masks(ring, cap)]
+def enumerate_hyperideals(ring: HyperRing) -> list[IdealProfile]:
+    return [profile(ring, m) for m in hyperideal_masks(ring)]
 
 
 @cached_on_ring
@@ -297,29 +293,24 @@ def prime_condition_holds(ring: HyperRing, members: int) -> bool:
 
 
 @cached_on_ring
-def prime_masks(ring: HyperRing, cap: Optional[int] = None) -> tuple[int, ...]:
+def prime_masks(ring: HyperRing) -> tuple[int, ...]:
     """All proper hyperideals satisfying the primality pair law.
 
     The zero ideal is included when it qualifies; the strict
     nonzero-only reading is applied by callers that want it.
     """
     return tuple(
-        m for m in hyperideal_masks(ring, cap)
+        m for m in hyperideal_masks(ring)
         if m != ring.carrier_mask and prime_condition_holds(ring, m)
     )
 
 
-def radical(ring: HyperRing, ideal: int, cap: Optional[int] = None) -> int:
+def radical(ring: HyperRing, ideal: int) -> int:
     """Intersection of all primes containing the ideal; the full carrier
-    when no prime contains it.
-
-    ``cap=None`` means :data:`DEFAULT_ENUMERATION_CAP`, and is passed on as
-    that number, so the primes cached for that cap are reused."""
-    if cap is None:
-        cap = DEFAULT_ENUMERATION_CAP
+    when no prime contains it."""
     out = ring.carrier_mask
     hit = False
-    for p in prime_masks(ring, cap):
+    for p in prime_masks(ring):
         if is_subset(ideal, p):
             out &= p
             hit = True
@@ -336,5 +327,5 @@ def radical_via_powers(ring: HyperRing, ideal: int) -> int:
 
 
 @cached_on_ring
-def zero_radical(ring: HyperRing, cap: Optional[int] = None) -> int:
-    return radical(ring, ZERO_MASK, cap)
+def zero_radical(ring: HyperRing) -> int:
+    return radical(ring, ZERO_MASK)

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Union
 
 from .bitsets import elements_of
-from .core import HyperRing, HyperRingError, validate_hyperring
+from .core import DimensionMismatch, HyperRing, HyperRingError, validate_hyperring
 
 
 class FileFormatError(HyperRingError):
@@ -69,10 +69,6 @@ def ring_from_obj(obj: object, *, source: str = "<object>") -> HyperRing:
     for i, row in enumerate(add):
         if not isinstance(row, list) or len(row) != size:
             raise FileFormatError(f"{source}: add[{i}] must be an array of length {size}")
-        for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < size:
-                raise FileFormatError(
-                    f"{source}: add[{i}][{j}] = {v!r} is not an index in 0..{size - 1}")
     hmul = obj.get("hmul")
     if not isinstance(hmul, list) or len(hmul) != size:
         raise FileFormatError(f"{source}: field 'hmul' must be a {size}x{size} array")
@@ -83,11 +79,6 @@ def ring_from_obj(obj: object, *, source: str = "<object>") -> HyperRing:
             if not isinstance(cell, list) or not cell:
                 raise FileFormatError(
                     f"{source}: hmul[{i}][{j}] must be a nonempty array of indices")
-            for v in cell:
-                if not isinstance(v, int) or not 0 <= v < size:
-                    raise FileFormatError(
-                        f"{source}: hmul[{i}][{j}] contains {v!r}, "
-                        f"not an index in 0..{size - 1}")
     commutative = obj.get("commutative", True)
     if not isinstance(commutative, bool):
         raise FileFormatError(f"{source}: field 'commutative' must be a boolean")
@@ -96,11 +87,15 @@ def ring_from_obj(obj: object, *, source: str = "<object>") -> HyperRing:
         for key in ("construction", "source", "params")
         if key in obj
     }
-    return validate_hyperring(
-        name, add, hmul,
-        require_commutative=commutative,
-        provenance=provenance or None,
-    )
+    try:
+        return validate_hyperring(
+            name, add, hmul,
+            require_commutative=commutative,
+            provenance=provenance or None,
+        )
+    except DimensionMismatch as exc:
+        # the value checks live in validation; name the file here
+        raise FileFormatError(f"{source}: {exc}") from exc
 
 
 def load_ring(path: Union[str, Path]) -> HyperRing:

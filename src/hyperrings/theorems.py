@@ -56,7 +56,6 @@ from .classifiers import (
     CLASS_R,
     MODE_RELAXED,
     MODE_STRICT,
-    REGULAR_NZD,
     class_members,
     is_essential,
     is_minimal_nonzero,
@@ -71,7 +70,6 @@ from .classifiers import (
     regular_mask,
 )
 from .construct import (
-    DEFAULT_GAMMA_CAP,
     FundamentalRingImage,
     GoodHomomorphism,
     IllDefinedQuotient,
@@ -88,7 +86,6 @@ from .construct import (
     subhyperring_restrict,
 )
 from .ideals import (
-    DEFAULT_ENUMERATION_CAP,
     ann_of_set,
     colon,
     generated_ideal_mask,
@@ -101,6 +98,8 @@ from .ideals import (
     zero_radical,
 )
 
+ENUMERATION_CAP = 16  # carrier size up to which the registry reads ideal families
+GAMMA_CAP = 10  # carrier size up to which T40 builds the fundamental ring
 HOM_SIZE_CAP = 36
 COVER_MAX = 3
 
@@ -190,10 +189,14 @@ def reading_from_flags(flags: dict[str, str]) -> Reading:
 class RingContext:
     """The registry's view of one ring, shared by all registry entries.
 
-    Ideal families and the radical of zero come, at the cap
-    :data:`DEFAULT_ENUMERATION_CAP`, from the library functions that define
-    them, which keep them on the :class:`HyperRing`; so does the r-law
-    witness that ``r_ok`` reads, for any subset, with no ideal enumeration.
+    Ideal families and the radical of zero come from the library functions
+    that define them, which keep them on the :class:`HyperRing`; so does
+    the r-law witness that ``r_ok`` reads, for any subset, with no ideal
+    enumeration.  The accessors that read an ideal family (``ideals``,
+    ``_class``, ``rad0`` and ``minimal_primes``) raise :class:`CapExceeded`
+    on a carrier larger than :data:`ENUMERATION_CAP`.  That limit is the
+    registry's own, kept so that its reports do not change; the library
+    enumerates at any size.
     Only registry-specific values are memoised here: the standing gate, the
     candidate-subset families, colons, ideal products, irredundant covers,
     factor witnesses, and derived constructions with their contexts, for
@@ -219,8 +222,14 @@ class RingContext:
     def e(self) -> Optional[int]:
         return self.ring.identity
 
+    def _enumerable(self) -> HyperRing:
+        """The ring, once its carrier is within :data:`ENUMERATION_CAP`."""
+        if self.size > ENUMERATION_CAP:
+            raise CapExceeded("carrier size", self.size, ENUMERATION_CAP)
+        return self.ring
+
     def ideals(self) -> tuple[int, ...]:
-        return hyperideal_masks(self.ring, DEFAULT_ENUMERATION_CAP)
+        return hyperideal_masks(self._enumerable())
 
     def proper(self) -> tuple[int, ...]:
         return self._class(CLASS_HYPERIDEAL, MODE_RELAXED)
@@ -230,7 +239,7 @@ class RingContext:
                           lambda: generated_ideal_mask(self.ring, ZERO_MASK))
 
     def rad0(self) -> int:
-        return zero_radical(self.ring, DEFAULT_ENUMERATION_CAP)
+        return zero_radical(self._enumerable())
 
     def standing_ok(self) -> bool:
         def compute() -> bool:
@@ -266,8 +275,7 @@ class RingContext:
         return r_closure_holds(self.ring, members)
 
     def _class(self, which: str, mode: str) -> tuple[int, ...]:
-        return class_members(self.ring, which, mode, REGULAR_NZD,
-                             DEFAULT_ENUMERATION_CAP)
+        return class_members(self._enumerable(), which, mode)
 
     def n_class(self) -> tuple[int, ...]:
         return self._class(CLASS_N, MODE_RELAXED)
@@ -279,8 +287,7 @@ class RingContext:
         return self._class(CLASS_PRIME, rd.prime_mode)
 
     def minimal_primes(self, rd: Reading) -> tuple[int, ...]:
-        return minimal_primes(self.ring, rd.prime_mode,
-                              DEFAULT_ENUMERATION_CAP)
+        return minimal_primes(self._enumerable(), rd.prime_mode)
 
     # -- arithmetic ----------------------------------------------------------
     def prod(self, rd: Reading, left: int, right: int) -> int:
@@ -388,7 +395,7 @@ class RingContext:
     def nmc_family(self) -> tuple[int, ...]:
         return self._memo("nmc", lambda: tuple(
             s for s in self.candidate_subsets()
-            if is_n_mult_closed(self.ring, s, DEFAULT_ENUMERATION_CAP)))
+            if is_n_mult_closed(self.ring, s)))
 
     def colon_subjects(self) -> tuple[int, ...]:
         """Subsets used for colon-style quantifiers: singletons, ideals,
@@ -416,8 +423,7 @@ class RingContext:
             map(image, subhyperring_masks(self.ring))))
 
     def fundamental(self) -> FundamentalRingImage:
-        return self._memo("fundamental", lambda: fundamental_ring(
-            self.ring, DEFAULT_GAMMA_CAP))
+        return self._memo("fundamental", lambda: fundamental_ring(self.ring))
 
     def matrix2(self) -> tuple[HyperRing, "RingContext"]:
         def compute():
@@ -674,7 +680,7 @@ def _t08a(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     if not classify_ring(ctx.ring).reduced:
         return NOT_APPLICABLE, {"reason": "ring is not reduced"}
     minimals = [m for m in ctx.proper()
-                if is_minimal_nonzero(ctx.ring, m, DEFAULT_ENUMERATION_CAP)]
+                if is_minimal_nonzero(ctx.ring, m)]
     for p_mask in minimals:
         for s in _idempotents(ctx, rd):
             total = set_sum(ctx.ring, p_mask, ctx.ann(s))
@@ -758,7 +764,7 @@ def _t12(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
         return NOT_APPLICABLE, {"reason": "ring is not reduced"}
     max_r = maximal_members(ctx.r_class())
     for i_mask in ctx.r_class():
-        if is_essential(ctx.ring, i_mask, DEFAULT_ENUMERATION_CAP):
+        if is_essential(ctx.ring, i_mask):
             continue
         ok = any(is_subset(i_mask, p) and p in max_r
                  for p in ctx.minimal_primes(rd))
@@ -863,8 +869,7 @@ def _maximal_disjoint_stay(ctx: RingContext, closed: tuple[int, ...],
         for seed in ctx.ideals():
             if seed & s_mask:
                 continue
-            for m in maximal_disjoint_masks(ctx.ring, s_mask, seed,
-                                            DEFAULT_ENUMERATION_CAP):
+            for m in maximal_disjoint_masks(ctx.ring, s_mask, seed):
                 if not in_class(m):
                     return _ce(closed_set=s_mask, seed_set=seed, maximal_set=m)
     return HOLDS, None
@@ -893,11 +898,14 @@ def _t18(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
        "If the zero ideal is primary, the n-ideals and the r-ideals "
        "coincide.")
 def _t19(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
+    # the classes first: is_primary reads the ideal family without the
+    # registry's enumeration cap
+    n_class, r_class = ctx.n_class(), ctx.r_class()
     if not is_primary(ctx.ring, ctx.genzero(), MODE_RELAXED):
         return HOLDS, {"note": "zero ideal not primary; nothing to check"}
-    if ctx.n_class() != ctx.r_class():
-        return _ce(n_class=[elements_of(m) for m in ctx.n_class()],
-                   r_class=[elements_of(m) for m in ctx.r_class()])
+    if n_class != r_class:
+        return _ce(n_class=[elements_of(m) for m in n_class],
+                   r_class=[elements_of(m) for m in r_class])
     return HOLDS, None
 
 
@@ -1019,8 +1027,7 @@ def _t29(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     for i_mask in ctx.proper():
         comp = ctx.ring.carrier_mask & ~i_mask
         left = ctx.is_n(i_mask)
-        right = comp != 0 and is_n_mult_closed(ctx.ring, comp,
-                                               DEFAULT_ENUMERATION_CAP)
+        right = comp != 0 and is_n_mult_closed(ctx.ring, comp)
         if left != right:
             return _ce(ideal_set=i_mask, is_n=left, complement_closed=right)
     return HOLDS, None
@@ -1299,8 +1306,8 @@ def _applicability(entry_: TheoremEntry, ctx: RingContext,
         return "standing assumption violated: some hyperideal is not a C-hyperideal"
     if entry_.requires_scalar_identity and not ctx.ring.scalar_identity:
         return "no scalar identity"
-    if entry_.requires_gamma and ctx.size > DEFAULT_GAMMA_CAP:
-        return f"gamma cap: carrier size {ctx.size} exceeds {DEFAULT_GAMMA_CAP}"
+    if entry_.requires_gamma and ctx.size > GAMMA_CAP:
+        return f"gamma cap: carrier size {ctx.size} exceeds {GAMMA_CAP}"
     return None
 
 

@@ -36,16 +36,16 @@ class TestCachedOnRing:
     def test_second_prime_masks_call_does_no_scan(self, monkeypatch):
         ring = ordinary_ring(12)
         scans = counting(monkeypatch, ideals, "prime_witness")
-        first = ideals.prime_masks(ring, 16)
+        first = ideals.prime_masks(ring)
         assert scans[0] > 0
         before = scans[0]
-        assert ideals.prime_masks(ring, 16) == first
-        ideals.zero_radical(ring, 16)
+        assert ideals.prime_masks(ring) == first
+        ideals.zero_radical(ring)
         assert scans[0] == before
 
-    def test_radical_without_cap_reuses_the_default_cap_primes(self, monkeypatch):
+    def test_radical_reuses_the_cached_primes(self, monkeypatch):
         ring = ordinary_ring(12)
-        ideals.prime_masks(ring, ideals.DEFAULT_ENUMERATION_CAP)
+        ideals.prime_masks(ring)
         scans = counting(monkeypatch, ideals, "prime_witness")
         six = mask_of([0, 6])
         assert ideals.radical(ring, six) == six  # (2) and (3) contain it
@@ -73,14 +73,14 @@ class TestCachedOnRing:
 
     def test_caches_are_per_instance(self, monkeypatch):
         ring = ordinary_ring(8)
-        ideals.prime_masks(ring, 16)
+        ideals.prime_masks(ring)
         ideals.product_family(ring)
         twin = dataclasses.replace(ring)
         assert twin is not ring
         assert twin == ring and hash(twin) == hash(ring)
         scans = counting(monkeypatch, ideals, "prime_witness")
         products = counting(monkeypatch, ideals, "hprod")
-        assert ideals.prime_masks(twin, 16) == ideals.prime_masks(ring, 16)
+        assert ideals.prime_masks(twin) == ideals.prime_masks(ring)
         assert ideals.product_family(twin) == ideals.product_family(ring)
         assert scans[0] > 0 and products[0] > 0
 
@@ -88,51 +88,43 @@ class TestCachedOnRing:
         ring = ordinary_ring(6)
         twin = dataclasses.replace(ring)
         key = hash(ring)
-        ideals.prime_masks(ring, 16)
+        ideals.prime_masks(ring)
         ideals.product_family(ring)
         assert hash(ring) == key
         assert ring == twin and hash(twin) == key
-
-    def test_prime_masks_still_raises_past_its_cap(self):
-        ring = ordinary_ring(8)
-        ideals.prime_masks(ring, 16)
-        for _ in range(2):
-            with pytest.raises(CapExceeded):
-                ideals.prime_masks(ring, 4)
 
 
 class TestRingCachedFamilies:
     def test_second_hyperideal_masks_call_does_no_scan(self, monkeypatch):
         ring = ordinary_ring(12)
         closures = counting(monkeypatch, ideals, "generated_ideal_mask")
-        first = ideals.hyperideal_masks(ring, 16)
+        first = ideals.hyperideal_masks(ring)
         assert closures[0] > 0
         before = closures[0]
-        assert ideals.hyperideal_masks(ring, 16) is first
+        assert ideals.hyperideal_masks(ring) is first
         assert closures[0] == before
 
     def test_second_class_members_call_does_no_scan(self, monkeypatch):
         ring = ordinary_ring(12)
         which = (classifiers.CLASS_HYPERIDEAL, classifiers.CLASS_PRIME,
                  classifiers.CLASS_R, classifiers.CLASS_N)
-        first = {w: classifiers.class_members(ring, w, cap=16) for w in which}
-        first["minimal"] = classifiers.minimal_primes(ring, cap=16)
+        first = {w: classifiers.class_members(ring, w) for w in which}
+        first["minimal"] = classifiers.minimal_primes(ring)
         scans = counting(monkeypatch, classifiers, "law_witness")
         prime_scans = counting(monkeypatch, ideals, "law_witness")
         closures = counting(monkeypatch, ideals, "generated_ideal_mask")
         for w in which:
-            assert classifiers.class_members(ring, w, cap=16) is first[w]
-        assert classifiers.minimal_primes(ring, cap=16) is first["minimal"]
+            assert classifiers.class_members(ring, w) is first[w]
+        assert classifiers.minimal_primes(ring) is first["minimal"]
         assert scans[0] == prime_scans[0] == closures[0] == 0
 
     def test_prime_class_reads_prime_masks(self, monkeypatch):
         ring = ordinary_ring(12)
-        primes = ideals.prime_masks(ring, 16)
+        primes = ideals.prime_masks(ring)
         scans = counting(monkeypatch, ideals, "prime_witness")
-        assert classifiers.class_members(ring, classifiers.CLASS_PRIME,
-                                         cap=16) is primes
+        assert classifiers.class_members(ring, classifiers.CLASS_PRIME) is primes
         strict = classifiers.class_members(
-            ring, classifiers.CLASS_PRIME, classifiers.MODE_STRICT, cap=16)
+            ring, classifiers.CLASS_PRIME, classifiers.MODE_STRICT)
         assert strict == tuple(m for m in primes if m != mask_of([0]))
         assert scans[0] == 0
 
@@ -140,55 +132,63 @@ class TestRingCachedFamilies:
         """A cached value is shared by every caller, so it must be
         immutable; tuples also keep ``n_class() == (genzero(),)`` exact."""
         for ring in default_corpus.rings[:20]:
-            values = [ideals.hyperideal_masks(ring, 16),
-                      ideals.prime_masks(ring, 16),
+            values = [ideals.hyperideal_masks(ring),
+                      ideals.prime_masks(ring),
                       ideals.product_family(ring),
-                      classifiers.minimal_primes(ring, cap=16)]
-            values += [classifiers.class_members(ring, w, cap=16) for w in (
+                      classifiers.minimal_primes(ring)]
+            values += [classifiers.class_members(ring, w) for w in (
                 classifiers.CLASS_HYPERIDEAL, classifiers.CLASS_PRIME,
                 classifiers.CLASS_R, classifiers.CLASS_N)]
             assert all(type(v) is tuple for v in values)
-            assert type(ideals.zero_radical(ring, 16)) is int
+            assert type(ideals.zero_radical(ring)) is int
 
     def test_twin_computes_its_own(self, monkeypatch):
         ring = ordinary_ring(10)
-        ideals.hyperideal_masks(ring, 16)
-        classifiers.class_members(ring, classifiers.CLASS_N, cap=16)
+        ideals.hyperideal_masks(ring)
+        classifiers.class_members(ring, classifiers.CLASS_N)
         twin = dataclasses.replace(ring)
         assert twin == ring and hash(twin) == hash(ring)
         closures = counting(monkeypatch, ideals, "generated_ideal_mask")
         scans = counting(monkeypatch, classifiers, "law_witness")
-        assert ideals.hyperideal_masks(twin, 16) == \
-            ideals.hyperideal_masks(ring, 16)
-        assert classifiers.class_members(twin, classifiers.CLASS_N, cap=16) \
-            == classifiers.class_members(ring, classifiers.CLASS_N, cap=16)
+        assert ideals.hyperideal_masks(twin) == ideals.hyperideal_masks(ring)
+        assert classifiers.class_members(twin, classifiers.CLASS_N) \
+            == classifiers.class_members(ring, classifiers.CLASS_N)
         assert closures[0] > 0 and scans[0] > 0
 
 
 class TestCacheInfo:
     def test_misses_count_computations(self):
         ring, twin = ordinary_ring(9), ordinary_ring(9)
-        start = ideals.hyperideal_masks.cache_info()
-        ideals.hyperideal_masks(ring, 16)
-        ideals.hyperideal_masks(ring, 16)
-        ideals.hyperideal_masks(ring)  # another argument list
-        ideals.hyperideal_masks(twin, 16)  # another ring
-        info = ideals.hyperideal_masks.cache_info()
+        n_ideals = classifiers.CLASS_N
+        start = classifiers.class_members.cache_info()
+        start_ideals = ideals.hyperideal_masks.cache_info()
+        classifiers.class_members(ring, n_ideals)
+        classifiers.class_members(ring, n_ideals)
+        # the default mode spelled out is another argument list
+        classifiers.class_members(ring, n_ideals, classifiers.MODE_RELAXED)
+        classifiers.class_members(twin, n_ideals)  # another ring
+        info = classifiers.class_members.cache_info()
         assert info.misses - start.misses == 3
         assert info.hits - start.hits == 1
+        # the family is computed once per ring, whatever asks for it
+        assert ideals.hyperideal_masks.cache_info().misses \
+            - start_ideals.misses == 2
 
     def test_a_raising_call_is_a_miss_every_time(self):
+        @cached_on_ring
+        def refuse(ring):
+            raise CapExceeded("carrier size", ring.size, 4)
+
         ring = ordinary_ring(8)
-        start = ideals.hyperideal_masks.cache_info().misses
         for _ in range(2):
             with pytest.raises(CapExceeded):
-                ideals.hyperideal_masks(ring, 4)
-        assert ideals.hyperideal_masks.cache_info().misses - start == 2
+                refuse(ring)
+        assert refuse.cache_info() == (0, 2)
 
     def test_counts_are_per_function(self):
         ring = ordinary_ring(7)
         start = classifiers.minimal_primes.cache_info()
-        ideals.hyperideal_masks(ring, 16)
+        ideals.hyperideal_masks(ring)
         assert classifiers.minimal_primes.cache_info() == start
 
 

@@ -152,7 +152,7 @@ class TestClosedSubsets:
         for ring in default_corpus.rings:
             if ring.identity is None or not ring.commutative:
                 continue
-            proper = [m for m in hyperideal_masks(ring, 16)
+            proper = [m for m in hyperideal_masks(ring)
                       if m != ring.carrier_mask]
             if any(not classify_ideal(ring, m).is_C for m in proper):
                 continue
@@ -216,7 +216,7 @@ class TestLawWitnesses:
         for ring in [*default_corpus.rings, *small_corpus]:
             full = ring.carrier_mask
             out_rad0 = full & ~zero_radical(ring)
-            for m in hyperideal_masks(ring, 16):
+            for m in hyperideal_masks(ring):
                 out = full & ~m
                 assert prime_witness(ring, m) == literal_witness(
                     ring, m, out, out)

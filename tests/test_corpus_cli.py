@@ -9,6 +9,7 @@ from hyperrings.corpus import (
     CorpusSpec,
     generate_corpus,
     manifest_json_bytes,
+    ordinary_ring,
     save_corpus,
     slug,
     total_hyperop_ring,
@@ -109,6 +110,28 @@ class TestCli:
         assert flags[(0,)]["n_ideal"] and flags[(0, 2)]["n_ideal"]
         assert not flags[(0, 1, 2, 3)]["n_ideal"]
 
+    def test_ideals_and_classify_take_any_carrier_size(self, tmp_path, capsys):
+        path = self.write_ring(tmp_path, ordinary_ring(17))
+        full = list(range(17))
+        assert main(["ideals", str(path)]) == 0
+        listing = json.loads(capsys.readouterr().out)
+        assert [e["elements"] for e in listing] == [[0], full]
+        assert main(["classify", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        flags = {tuple(e["elements"]): e for e in report["ideals"]}
+        assert list(flags) == [(0,), tuple(full)]
+        # a field: the zero ideal is prime, maximal and an n-ideal
+        assert flags[(0,)]["prime"] and flags[(0,)]["maximal"]
+        assert flags[(0,)]["n_ideal"] and not flags[tuple(full)]["n_ideal"]
+
+    def test_cap_flags_are_gone(self, tmp_path, z4, capsys):
+        path = str(self.write_ring(tmp_path, z4))
+        for argv in (["ideals", path, "--cap", "32"],
+                     ["classify", path, "--cap", "32"],
+                     ["construct", "gamma-star", path, "--gamma-cap", "16"]):
+            assert main(argv) == 2, argv
+            assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_classify_single_ideal(self, tmp_path, z6, capsys):
         path = self.write_ring(tmp_path, z6)
         assert main(["classify", str(path), "--ideal", "0,3"]) == 0
@@ -178,12 +201,18 @@ class TestCli:
         assert obj["size"] == 16
         assert obj["commutative"] is False
 
-    def test_construct_gamma_star(self, tmp_path, z6a, capsys):
+    def test_construct_gamma_star(self, tmp_path, z6a, z12, capsys):
         path = self.write_ring(tmp_path, z6a)
         assert main(["construct", "gamma-star", str(path)]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["classes"] == [[0, 2, 4], [1, 3, 5]]
         assert obj["size"] == 2
+        # past the registry's limit of 10 for T40
+        path = self.write_ring(tmp_path, z12)
+        assert main(["construct", "gamma-star", str(path)]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["classes"] == [[x] for x in range(12)]
+        assert obj["size"] == 12
 
     def test_construct_quotient_requires_ideal_flag(self, tmp_path, z4):
         path = self.write_ring(tmp_path, z4)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hyperrings.bitsets import elements_of, is_subset, mask_of, singleton
 from hyperrings.construct import quotient, subhyperring_masks, subhyperring_restrict
-from hyperrings.core import ZERO_MASK, CapExceeded
+from hyperrings.core import ZERO_MASK
 from hyperrings.corpus import ordinary_ring, zn_with_products
 from hyperrings.ideals import (
     EmptySet,
@@ -111,7 +111,7 @@ class TestEnumeration:
                       for t in subhyperring_masks(base) if t.bit_count() <= 8]
         assert sum(not r.commutative for r in rings) == 10
         for ring in rings:
-            assert list(hyperideal_masks(ring, 16)) == brute_force_ideals(ring), \
+            assert list(hyperideal_masks(ring)) == brute_force_ideals(ring), \
                 ring.name
 
     def test_principal_masks_are_the_generated_ideals(self, default_corpus,
@@ -121,11 +121,9 @@ class TestEnumeration:
                 generated_ideal_mask(ring, singleton(x)) for x in range(ring.size)
             ), ring.name
 
-    def test_cap_enforced(self):
+    def test_enumerates_any_carrier_size(self):
         ring = ordinary_ring(17)
-        with pytest.raises(CapExceeded):
-            hyperideal_masks(ring, 16)
-        assert len(hyperideal_masks(ring, 32)) == 2
+        assert hyperideal_masks(ring) == (mask_of([0]), ring.carrier_mask)
 
     def test_profiles_sorted_and_flagged(self, z6):
         profiles = enumerate_hyperideals(z6)
@@ -257,10 +255,10 @@ class TestRadical:
         for ring in default_corpus.rings:
             if ring.size > 8 or not ring.commutative:
                 continue
-            for m in hyperideal_masks(ring, 16):
-                rad = radical(ring, m, 16)
+            for m in hyperideal_masks(ring):
+                rad = radical(ring, m)
                 if rad != ring.carrier_mask and is_hyperideal(ring, rad):
-                    assert radical(ring, rad, 16) == rad, ring.name
+                    assert radical(ring, rad) == rad, ring.name
 
 
 @st.composite

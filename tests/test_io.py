@@ -51,6 +51,11 @@ def test_loader_names_bad_field(tmp_path):
     with pytest.raises(FileFormatError) as exc:
         load_ring(path)
     assert "hmul[1][1]" in str(exc.value)
+    obj.update(add=[[0, 1], ["1", 0]], hmul=[[[0], [0]], [[0], [1]]])
+    path.write_text(json.dumps(obj))
+    with pytest.raises(FileFormatError) as exc:
+        load_ring(path)
+    assert str(exc.value).startswith(f"{path}: add[1][0] = '1'")
 
 
 def test_loader_names_empty_cell(tmp_path):

@@ -106,6 +106,27 @@ class TestSingleVerdicts:
             assert required[tid].reading_results == {
                 "standing=waived": waived[tid].status}
 
+        # Z18 over the whole registry: the library enumerates its ideals,
+        # and the registry's own limits still decide every cell
+        z18 = ordinary_ring(18)
+        enumeration = "carrier size cap: carrier size 18 exceeds cap 16"
+        own = {tid: (NOT_APPLICABLE, "ring is not reduced")
+               for tid in ("T08a", "T08b", "T12", "T32")}
+        own.update({tid: (HOLDS, None) for tid in ("T05", "T07", "T34", "T35")})
+        own["T37"] = (NOT_APPLICABLE,
+                      "matrix cap: matrix carrier size 104976 exceeds cap 16")
+        own["T39"] = (NOT_APPLICABLE, "not a product construction")
+        own["T40"] = (NOT_APPLICABLE, "gamma cap: carrier size 18 exceeds 10")
+        for standing in READING_AXES["standing"]:
+            verdicts = run_suite([z18], reading=Reading(standing=standing)).verdicts
+            assert len(verdicts) == len(REGISTRY)
+            for v in verdicts:
+                want = (NOT_APPLICABLE, enumeration)
+                if standing == "waived":
+                    want = own.get(v.theorem, want)
+                assert (v.status, (v.witness or {}).get("reason")) == want, \
+                    (standing, v.theorem)
+
     def test_identityless_ring_not_applicable(self):
         ring = zn_with_products(6, (2, 3))
         assert ring.identity is None
@@ -441,7 +462,7 @@ class TestContextReadsRing:
     def test_against_direct_scans(self, default_corpus):
         for base in default_corpus.rings:
             rings = [base]
-            for m in hyperideal_masks(base, 16):
+            for m in hyperideal_masks(base):
                 if m != base.carrier_mask:
                     try:
                         rings.append(quotient(base, m).ring)
@@ -449,7 +470,7 @@ class TestContextReadsRing:
                         pass
             for ring in rings:
                 ctx = RingContext(ring)
-                proper = tuple(m for m in hyperideal_masks(ring, 16)
+                proper = tuple(m for m in hyperideal_masks(ring)
                                if m != ring.carrier_mask)
                 assert ctx.proper() == proper
                 for mode in READING_AXES["prime_mode"]:
@@ -462,14 +483,14 @@ class TestContextReadsRing:
                 assert ctx.r_class() == tuple(
                     m for m in proper if r_closure_holds(ring, m))
                 assert ctx.n_class() == tuple(
-                    m for m in proper if is_n_hyperideal(ring, m, cap=16))
-                assert ctx.rad0() == radical(ring, ZERO_MASK, 16)
+                    m for m in proper if is_n_hyperideal(ring, m))
+                assert ctx.rad0() == radical(ring, ZERO_MASK)
                 if ring.commutative:  # checkers see only commutative rings
                     for x in range(ring.size):
                         assert ctx.ann(x) == ann(ring, x)
-                for m in hyperideal_masks(ring, 16):
+                for m in hyperideal_masks(ring):
                     assert ctx.r_ok(m) == r_closure_holds(ring, m)
-                    assert ctx.is_n(m) == is_n_hyperideal(ring, m, cap=16)
+                    assert ctx.is_n(m) == is_n_hyperideal(ring, m)
 
     def test_shared_scans(self, default_corpus):
         """Products and factor witnesses are kept per ring and shared by
