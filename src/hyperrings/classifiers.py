@@ -151,7 +151,11 @@ def class_members(ring: HyperRing, which: str, mode: str = MODE_RELAXED,
     if which == CLASS_R:
         return tuple(m for m in proper if r_closure_holds(ring, m, regular))
     if which == CLASS_N:
-        return tuple(m for m in proper if is_n_hyperideal(ring, m, mode))
+        # at I = r(0) the n-law scans x and y outside I: the prime scan
+        # that prime_masks has already run
+        r0, primes = zero_radical(ring), prime_masks(ring)
+        return tuple(m for m in proper if (
+            m in primes if m == r0 else is_n_hyperideal(ring, m, mode)))
     raise ValueError(f"unknown ideal class {which!r}")
 
 
@@ -165,9 +169,11 @@ def maximal_members(family: tuple[int, ...],
 
 
 def is_maximal_in_class(ring: HyperRing, members: int, which: str,
-                        mode: str = MODE_RELAXED,
-                        regular: str = REGULAR_NZD) -> bool:
-    return members in maximal_members(class_members(ring, which, mode, regular))
+                        *options: str) -> bool:
+    """Whether the ideal is maximal in ``class_members(ring, which,
+    *options)``.  The options are passed on as written, so the family is
+    the one any other call written the same way has cached on the ring."""
+    return members in maximal_members(class_members(ring, which, *options))
 
 
 def is_minimal_nonzero(ring: HyperRing, members: int) -> bool:
@@ -286,8 +292,7 @@ def classify_ideal(ring: HyperRing, members: int, mode: str = MODE_RELAXED,
     return ClassificationFlags(
         prime=proper and prime_w is None and not (strict and members == ZERO_MASK),
         primary=is_primary(ring, members, mode),
-        maximal=is_maximal_in_class(ring, members, CLASS_HYPERIDEAL, mode,
-                                    regular),
+        maximal=is_maximal_in_class(ring, members, CLASS_HYPERIDEAL),
         minimal_nonzero=is_minimal_nonzero(ring, members),
         essential=is_essential(ring, members),
         r_ideal=r_w is None and (proper or not strict),

@@ -38,6 +38,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional
 
 from .bitsets import bits, elements_of, is_subset, singleton, subset_key
@@ -232,7 +233,7 @@ class RingContext:
         return hyperideal_masks(self._enumerable())
 
     def proper(self) -> tuple[int, ...]:
-        return self._class(CLASS_HYPERIDEAL, MODE_RELAXED)
+        return self._class(CLASS_HYPERIDEAL)
 
     def genzero(self) -> int:
         return self._memo("genzero",
@@ -274,14 +275,16 @@ class RingContext:
     def r_ok(self, members: int) -> bool:
         return r_closure_holds(self.ring, members)
 
-    def _class(self, which: str, mode: str) -> tuple[int, ...]:
-        return class_members(self._enumerable(), which, mode)
+    def _class(self, which: str, *mode: str) -> tuple[int, ...]:
+        """The family as ``class_members`` caches it; the mode is passed
+        only for primes, the one family that depends on it."""
+        return class_members(self._enumerable(), which, *mode)
 
     def n_class(self) -> tuple[int, ...]:
-        return self._class(CLASS_N, MODE_RELAXED)
+        return self._class(CLASS_N)
 
     def r_class(self) -> tuple[int, ...]:
-        return self._class(CLASS_R, MODE_RELAXED)
+        return self._class(CLASS_R)
 
     def primes(self, rd: Reading) -> tuple[int, ...]:
         return self._class(CLASS_PRIME, rd.prime_mode)
@@ -1386,6 +1389,77 @@ def run_theorem(entry_: TheoremEntry, ring: HyperRing,
     )
 
 
+# The report fields that list verdicts; the JSON writer takes them one
+# verdict at a time.
+_VERDICT_LISTS = ("verdicts", "counterexamples")
+# A line break and the indent of each depth of the report: top-level keys
+# sit at depth 1, verdicts at 2 and their fields at 3.
+_PAD = tuple("\n" + "  " * depth for depth in range(4))
+# The C encoder, compact and with sorted keys.  Two values with the same
+# compact text have the same indented text.
+_compact = json.JSONEncoder(sort_keys=True).encode
+
+
+def _indented(value, pad: str) -> str:
+    """``value`` as the indented report writes it at the depth whose line
+    break is ``pad``.  JSON escapes every newline inside a string, so each
+    newline of the text is a line break of the layout."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+
+
+def _verdict_writer(pieces: list[str],
+                    include_timings: bool) -> Callable[[list], None]:
+    """A function that appends a nonempty verdict list to ``pieces``.  Each
+    field value is rendered once per distinct value over every list it
+    writes; only ``wall_ms`` differs from verdict to verdict."""
+    strings: dict[str, str] = {}
+    nested: dict[str, str] = {}  # keyed by the value's compact text
+    heads: dict[tuple[str, ...], list[tuple[str, str]]] = {}
+    first, later = (f"{comma}{_PAD[2]}{{" for comma in "[,")
+    close, end = f"{_PAD[2]}}}", f"{_PAD[1]}]"
+
+    def field_text(value) -> str:
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if type(value) is str:
+            out = strings.get(value)
+            if out is None:
+                out = strings[value] = encode_basestring_ascii(value)
+            return out
+        if type(value) is float:
+            return _compact(value)
+        key = _compact(value)
+        out = nested.get(key)
+        if out is None:
+            out = nested[key] = _indented(value, _PAD[3])
+        return out
+
+    def write(verdicts: list) -> None:
+        opener = first
+        for v in verdicts:
+            obj = v.to_obj(include_timings)
+            names = tuple(obj)
+            layout = heads.get(names)
+            if layout is None:
+                layout = heads[names] = [
+                    (name, f"{',' if i else ''}{_PAD[3]}"
+                           f"{encode_basestring_ascii(name)}: ")
+                    for i, name in enumerate(sorted(names))]
+            pieces.append(opener)
+            for name, head in layout:
+                pieces.append(head)
+                pieces.append(field_text(obj[name]))
+            pieces.append(close)
+            opener = later
+        pieces.append(end)
+
+    return write
+
+
 @dataclass
 class SuiteReport:
     readings: dict[str, str]
@@ -1408,21 +1482,43 @@ class SuiteReport:
             out[v.status] += 1
         return out
 
-    def to_obj(self, include_timings: bool = False) -> dict:
+    def _fields(self) -> dict:
+        """The top-level fields, with the verdict lists left as verdicts."""
         return {
             "readings": self.readings,
             "rings": self.rings,
             "summary": self.summary(),
-            "verdicts": [v.to_obj(include_timings) for v in self.verdicts],
-            "counterexamples": [v.to_obj(include_timings)
-                                for v in self.counterexamples],
+            "verdicts": self.verdicts,
+            "counterexamples": self.counterexamples,
             "discarded": [list(d) for d in self.discarded],
         }
 
+    def to_obj(self, include_timings: bool = False) -> dict:
+        obj = self._fields()
+        for key in _VERDICT_LISTS:
+            obj[key] = [v.to_obj(include_timings) for v in obj[key]]
+        return obj
+
     def to_json_bytes(self, include_timings: bool = False) -> bytes:
-        text = json.dumps(self.to_obj(include_timings), indent=2,
-                          sort_keys=True, ensure_ascii=True)
-        return (text + "\n").encode("utf-8")
+        """The report in its canonical form: exactly the bytes of
+        ``json.dumps(self.to_obj(include_timings), indent=2, sort_keys=True,
+        ensure_ascii=True) + "\\n"``, so ASCII, sorted keys, two-space
+        indent and one trailing LF.
+
+        The bytes are written without that object: each verdict is written
+        as pieces at its fixed depth, each distinct nested field value is
+        rendered once, and the pieces are joined once."""
+        pieces = ["{"]
+        write_verdicts = _verdict_writer(pieces, include_timings)
+        for i, (key, value) in enumerate(sorted(self._fields().items())):
+            pieces.append(f"{',' if i else ''}{_PAD[1]}"
+                          f"{encode_basestring_ascii(key)}: ")
+            if key in _VERDICT_LISTS and value:
+                write_verdicts(value)
+            else:
+                pieces.append(_indented(value, _PAD[1]))
+        pieces.append("\n}\n")
+        return "".join(pieces).encode()
 
     def exit_status(self) -> int:
         return 1 if self.counterexamples else 0

@@ -17,6 +17,7 @@ from hyperrings import classifiers, construct, ideals
 from hyperrings.bitsets import mask_of
 from hyperrings.core import CapExceeded, RingFlags, cached_on_ring
 from hyperrings.corpus import ordinary_ring, zn_with_products
+from hyperrings.theorems import RingContext
 
 
 def counting(monkeypatch, module, name):
@@ -173,6 +174,18 @@ class TestCacheInfo:
         # the family is computed once per ring, whatever asks for it
         assert ideals.hyperideal_masks.cache_info().misses \
             - start_ideals.misses == 2
+
+    def test_classify_ideal_shares_the_family(self):
+        """``classify_ideal`` asks for the proper hyperideals with the
+        argument list the registry uses, so the family is computed once."""
+        ring = ordinary_ring(12)
+        start = classifiers.class_members.cache_info()
+        family = classifiers.class_members(ring, classifiers.CLASS_HYPERIDEAL)
+        for members in ideals.hyperideal_masks(ring):
+            classifiers.classify_ideal(ring, members)
+        assert classifiers.class_members.cache_info().misses \
+            - start.misses == 1
+        assert RingContext(ring).proper() is family
 
     def test_a_raising_call_is_a_miss_every_time(self):
         @cached_on_ring

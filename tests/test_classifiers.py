@@ -102,6 +102,20 @@ class TestNIdeal:
     def test_improper_never_n(self, z4):
         assert not is_n_hyperideal(z4, z4.carrier_mask)
 
+    def test_zero_radical_against_its_scan(self, default_corpus, small_corpus):
+        """At I = r(0) the n-class reads the prime scan, not the n-law's
+        own; the n-law scan is the oracle."""
+        checked = 0
+        for ring in [*default_corpus.rings, *small_corpus]:
+            r0 = zero_radical(ring)
+            if r0 == ring.carrier_mask:
+                continue
+            holds = n_witness(ring, r0) is None
+            assert is_n_hyperideal(ring, r0) == holds
+            assert (r0 in class_members(ring, CLASS_N)) == holds
+            checked += 1
+        assert checked == 95
+
 
 class TestLatticeClasses:
     def test_maximal_r(self, z4):

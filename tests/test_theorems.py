@@ -1,5 +1,6 @@
 """Registry integrity and the proposition runner."""
 
+import dataclasses
 import json
 from importlib import resources
 from itertools import combinations
@@ -276,6 +277,48 @@ class TestSuite:
         assert report.counterexamples
         assert report.exit_status() == 1
         assert report.verdicts[-1].status == COUNTEREXAMPLE
+
+
+def canonical_json(report, include_timings):
+    """The report as the indented encoder writes it: the byte contract of
+    ``to_json_bytes``."""
+    return (json.dumps(report.to_obj(include_timings), indent=2,
+                       sort_keys=True, ensure_ascii=True) + "\n").encode()
+
+
+class TestReportBytes:
+    """``to_json_bytes`` writes verdicts from memoised fragments; the
+    encoder over ``to_obj`` is its oracle, with and without timings."""
+
+    @pytest.mark.parametrize("case", ["default", "waived", "small",
+                                      "no-readings", "discarded", "odd-name"])
+    def test_equals_the_indented_encoder(self, case, default_corpus,
+                                         small_corpus):
+        rings = default_corpus.rings
+        if case == "default":
+            report = run_suite(rings)
+        elif case == "waived":
+            report = run_suite(rings, reading=Reading(standing="waived"))
+        elif case == "small":
+            report = run_suite(small_corpus)
+            # list-valued witnesses in both verdict lists
+            assert len(report.counterexamples) == 71
+            assert any(isinstance(x, list) for v in report.counterexamples
+                       for x in v.witness.values())
+        elif case == "no-readings":
+            report = run_suite(rings, explore_readings=False)
+            assert all(v.reading_results == {} for v in report.verdicts)
+        elif case == "discarded":
+            report = run_suite(rings[:3])
+            report.discarded = default_corpus.discarded
+            assert report.discarded
+        else:
+            odd = dataclasses.replace(ordinary_ring(4),
+                                      name='Z4 "quoted" \\ \u00fc\n\t')
+            report = run_suite([odd, ordinary_ring(2)])
+        for include_timings in (False, True):
+            assert report.to_json_bytes(include_timings) \
+                == canonical_json(report, include_timings)
 
 
 # Status of each entry on the small corpus, in ring order: h holds,
