@@ -5,12 +5,12 @@ quotient R/γ*.
 γ* is the smallest equivalence whose quotient is an ordinary ring
 (Vougiouklis, "The fundamental relation in hyperrings", 1991; Davvaz &
 Leoreanu-Fotea, *Hyperring Theory and Applications*, 2007).  It is built
-here as a congruence closure with union-find, not by listing the finite
-sums of finite products that define it.  Given that both lifted
-operations are single-valued on the classes, R/γ* is the image of R under
-a map that preserves + exactly and sends each hyperproduct cell into one
-class, so every ring law except commutativity passes to it from R; only
-commutativity is checked on its tables.
+here as the quotient by the hyperideal generated by cell differences, not
+by listing the finite sums of finite products that define it: since
+(R, +) is a group, γ* is the coset partition of one hyperideal, and
+:func:`fundamental_ring` proves which.  Each cell of that quotient is a
+singleton, so every ring law except commutativity passes to it from R;
+only commutativity is checked on its tables.
 
 Quotients, products and subring restrictions prove their output tables a
 hyperring (the proofs are in their docstrings) and hand them to
@@ -38,18 +38,13 @@ from .core import (
     _noncommuting_pair,
     build_hyperring,
     cached_on_ring,
-    hprod,
     set_sum,
     validate_hyperring,
 )
-from .ideals import is_hyperideal
+from .ideals import generated_ideal_mask, is_hyperideal
 
 MATRIX_CARRIER_CAP = 16  # the default bound on the |R|^(n*n) matrix carrier
 HOM_CANDIDATE_CAP = 65536  # raw generator assignments one hom search may try
-
-
-class IllDefinedQuotient(HyperRingError):
-    """The fundamental quotient's lifted operation is not single-valued."""
 
 
 class NotAdditive(HyperRingError):
@@ -518,30 +513,6 @@ def subhyperring_masks(ring: HyperRing) -> list[int]:
 # fundamental ordinary-ring quotient
 
 
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> bool:
-        """Merge the classes of i and j; True iff they were distinct."""
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return False
-        # deterministic: smaller index wins as representative
-        if ri > rj:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        return True
-
-
 @dataclass(frozen=True)
 class OrdinaryRing:
     """A finite commutative ring given by plain operation tables."""
@@ -612,99 +583,55 @@ class FundamentalRingImage:
         return out
 
 
-def _gamma_star(ring: HyperRing) -> UnionFind:
-    """γ* as a congruence closure.
-
-    Co-members of every hyperproduct cell start in one class.  Then, until a
-    pass makes no union, each element x is tied to its class root r through
-    every c: ``x+c ~ r+c`` and ``x∘c ~ r∘c`` (and ``c∘x ~ c∘r`` on a
-    non-commutative carrier), where a cell stands for any of its members.
-    """
-    n = ring.size
-    uf = UnionFind(n)
-    for row in ring.hmul:
-        for cell in row:
-            members = elements_of(cell)
-            for other in members[1:]:
-                uf.union(members[0], other)
-    # each cell lies in one class, so its least member represents it
-    rep = [[(cell & -cell).bit_length() - 1 for cell in row] for row in ring.hmul]
-    changed = True
-    while changed:
-        changed = False
-        for x in range(n):
-            r = uf.find(x)
-            if r == x:
-                continue
-            for c in range(n):
-                changed |= uf.union(ring.add[x][c], ring.add[r][c])
-                changed |= uf.union(rep[x][c], rep[r][c])
-                if not ring.commutative:
-                    changed |= uf.union(rep[c][x], rep[c][r])
-    return uf
-
-
 def fundamental_ring(ring: HyperRing) -> FundamentalRingImage:
     """Quotient by γ*, the smallest equivalence whose quotient is an
-    ordinary ring.
+    ordinary ring: the quotient by one hyperideal.
 
     γ* is the transitive closure of "co-members of a finite sum of finite
-    products".  It equals the smallest equivalence that puts every
-    hyperproduct inside one class and is compatible with addition and, on
-    both sides, with the hyperoperation (Vougiouklis 1991); that congruence
-    closure is what is computed.  Both lifted operations are verified to be
-    single-valued on classes (:class:`IllDefinedQuotient`).
+    products".  It is the least congruence (compatible with + and, on both
+    sides, with the hyperoperation) that puts every hyperproduct cell in
+    one class (Vougiouklis 1991).  Let D be the set of differences
+    ``a - m``, with a in a cell and m that cell's least member, and let I be
+    the hyperideal D generates.  Then γ* is the coset partition of I:
 
-    Given that, the projection p is onto and satisfies
-    ``p(x + y) = p(x) + p(y)`` and ``p(x) p(y) = p(t)`` for every t in
-    ``x o y``.  So ``(p(x) p(y)) p(z)`` and ``p(x) (p(y) p(z))`` are both the
-    one class of ``(x o y) o z = x o (y o z)``.  A member ``u + v`` of
-    ``x o (y+z) <= x o y + x o z`` gives
-    ``p(x) (p(y) + p(z)) = p(x) p(y) + p(x) p(z)``, and the right-hand law
-    follows from commutativity or, on a non-commutative carrier, from the
-    right-hand weak distributivity that validation checks.  The zero and
-    negatives are images.  So every ring law but commutativity passes from R
-    to R/γ*, and commutativity alone is checked: the least non-commuting
-    pair raises ``AxiomViolation("ring-mul-commutative")`` (``M2(Z2)``).
+    * The cosets of I form a congruence that puts each cell in one class.
+      A cell ``r o c`` lies in ``m + D``, so in one coset.  Take
+      ``x = r + i`` with i in I.  Then
+      ``x o c <= r o c + i o c <= r o c + I``, the coset of ``r o c``;
+      likewise ``c o x <= c o r + c o i``, and + respects cosets.
+    * Every such congruence contains the cosets of I.  Its class N of 0 is
+      an additive subgroup, each class is a coset of N, and N contains D.
+      Take t in ``0 o c``, which lies in ``(0+0) o c <= 0 o c + 0 o c``, so
+      ``t = u + v`` with u, v in ``0 o c``.  Then ``t ~ u``, so
+      ``t ~ t + v`` and ``v ~ 0``; and ``v ~ t``, so ``t ~ 0``.  So
+      ``0 o c`` lies in N, and so do ``n o c`` and ``c o n`` for n in N,
+      which share a class with ``0 o c`` and ``c o 0``.  N is a hyperideal
+      containing D, so it contains I.
+
+    So R/γ* is :func:`quotient` by I, which proves R/I a hyperring and
+    numbers its cosets by least member.  Each cell of R/I is a singleton,
+    where weak distributivity is distributivity, so R/I is a ring, and
+    commutativity alone is checked: the least non-commuting pair raises
+    ``AxiomViolation("ring-mul-commutative")`` (``M2(Z2)``).
     """
-    uf = _gamma_star(ring)
-    roots = sorted(set(uf.find(x) for x in range(ring.size)))
-    index = {r: i for i, r in enumerate(roots)}
-    proj = tuple(index[uf.find(x)] for x in range(ring.size))
-    k = len(roots)
-    class_masks = [0] * k
-    for x in range(ring.size):
-        class_masks[proj[x]] |= singleton(x)
-
-    add_t = [[0] * k for _ in range(k)]
-    mul_t = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            sums = set_sum(ring, class_masks[i], class_masks[j])
-            targets = {proj[t] for t in bits(sums)}
-            if len(targets) != 1:
-                raise IllDefinedQuotient(
-                    f"classes ({i},{j}): sum lands in classes {sorted(targets)}")
-            add_t[i][j] = targets.pop()
-            prods = hprod(ring, class_masks[i], class_masks[j])
-            targets = {proj[t] for t in bits(prods)}
-            if len(targets) != 1:
-                raise IllDefinedQuotient(
-                    f"classes ({i},{j}): product lands in classes {sorted(targets)}")
-            mul_t[i][j] = targets.pop()
-
-    out = OrdinaryRing(
-        name=f"{ring.name}/fundamental",
-        size=k,
-        add=tuple(tuple(row) for row in add_t),
-        mul=tuple(tuple(row) for row in mul_t),
-    )
-    pair = _noncommuting_pair(out.mul)
+    sub = ring.sub
+    diffs = 0
+    for cell in {cell for row in ring.hmul for cell in row}:
+        least = (cell & -cell).bit_length() - 1
+        for a in bits(cell):
+            diffs |= 1 << sub[a][least]
+    q = quotient(ring, generated_ideal_mask(ring, diffs))
+    classes = [0] * q.ring.size
+    for x, c in enumerate(q.projection):
+        classes[c] |= singleton(x)
+    mul = tuple(tuple(cell.bit_length() - 1 for cell in row) for row in q.ring.hmul)
+    pair = _noncommuting_pair(mul)
     if pair is not None:
         raise AxiomViolation("ring-mul-commutative", pair)
     return FundamentalRingImage(
         source_name=ring.name,
-        classes=tuple(class_masks),
-        projection=proj,
-        ring=out,
+        classes=tuple(classes),
+        projection=q.projection,
+        ring=OrdinaryRing(name=f"{ring.name}/fundamental", size=q.ring.size,
+                          add=q.ring.add, mul=mul),
     )

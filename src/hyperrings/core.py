@@ -312,32 +312,12 @@ def is_nilpotent(ring: HyperRing, x: int) -> bool:
     return bool(ring.nilpotent & singleton(x))
 
 
-def ann_mask(ring: HyperRing, x: int) -> int:
-    """Annihilator of an element: all y with ``x o y = {0}``."""
-    return ring.annihilators[x]
-
-
-def is_nzd(ring: HyperRing, x: int) -> bool:
-    """Non-zero-divisor: the annihilator is exactly ``{0}``."""
-    return bool(ring.nzd & singleton(x))
-
-
-def is_zero_divisor(ring: HyperRing, x: int) -> bool:
-    """True iff ``x o y = {0}`` for some nonzero y."""
-    return bool(ring.zero_divisors & singleton(x))
-
-
 def zero_divisor_mask(ring: HyperRing) -> int:
     return ring.zero_divisors
 
 
 def nzd_mask(ring: HyperRing) -> int:
     return ring.nzd
-
-
-def is_regular_vnr(ring: HyperRing, x: int) -> bool:
-    """Von Neumann regular element: ``x in x^2 o y`` for some y."""
-    return bool(ring.vnr & singleton(x))
 
 
 def vnr_mask(ring: HyperRing) -> int:
@@ -365,14 +345,15 @@ class ElementFlags:
 
 def element_predicates(ring: HyperRing, x: int) -> ElementFlags:
     sq = ring.hmul[x][x]
+    bit = singleton(x)
     return ElementFlags(
-        zero_divisor=is_zero_divisor(ring, x),
+        zero_divisor=bool(ring.zero_divisors & bit),
         nilpotent=is_nilpotent(ring, x),
-        regular_vnr=is_regular_vnr(ring, x),
-        nzd=is_nzd(ring, x),
+        regular_vnr=bool(ring.vnr & bit),
+        nzd=bool(ring.nzd & bit),
         invertible=is_invertible(ring, x) if ring.identity is not None else None,
-        idempotent=bool(sq & singleton(x)),
-        idempotent_strict=sq == singleton(x),
+        idempotent=bool(sq & bit),
+        idempotent_strict=sq == bit,
     )
 
 
@@ -512,8 +493,9 @@ def validate_hyperring(
         if len(row) != n:
             raise DimensionMismatch(f"add row {a} has length {len(row)}, expected {n}")
         for b, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise DimensionMismatch(f"add[{a}][{b}] = {v!r} out of range 0..{n - 1}")
+            if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
+                raise DimensionMismatch(
+                    f"add[{a}][{b}] = {v!r} is not an index in 0..{n - 1}")
         add_rows.append(tuple(row))
     hmul_rows: list[tuple[int, ...]] = []
     for a, row in enumerate(hmul):
@@ -523,9 +505,9 @@ def validate_hyperring(
         for b, cell in enumerate(row):
             m = 0
             for v in cell:
-                if not isinstance(v, int) or not 0 <= v < n:
+                if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
                     raise DimensionMismatch(
-                        f"hmul[{a}][{b}] contains {v!r}, out of range 0..{n - 1}")
+                        f"hmul[{a}][{b}] contains {v!r}, not an index in 0..{n - 1}")
                 m |= 1 << v
             if not m:
                 raise EmptyHyperproduct(a, b)

@@ -155,30 +155,27 @@ def product_family(ring: HyperRing) -> tuple[int, ...]:
     """All subsets realizable as finite hyperproducts ``r1 o ... o rk``.
 
     Seeded with singletons (length-1 products) and closed under
-    right-multiplication by singletons; associativity makes this the whole
-    family.  Guarded by a size cap because pathological tables can generate
-    large sublattices.
+    multiplication by singletons, ``m o b`` and, on a non-commutative
+    carrier, ``b o m``; associativity makes this the whole family.  Guarded
+    by a size cap because pathological tables can generate large
+    sublattices.
     """
     seen: set[int] = set(singleton(a) for a in range(ring.size))
     work = list(seen)
     while work:
         m = work.pop()
         for b in range(ring.size):
-            nxt = hprod(ring, m, singleton(b))
-            if nxt not in seen:
-                if len(seen) >= PRODUCT_FAMILY_CAP:
-                    raise CapExceeded("product family size", len(seen) + 1,
-                                      PRODUCT_FAMILY_CAP)
-                seen.add(nxt)
-                work.append(nxt)
+            bit = singleton(b)
+            found = [hprod(ring, m, bit)]
             if not ring.commutative:
-                nxt2 = hprod(ring, singleton(b), m)
-                if nxt2 not in seen:
+                found.append(hprod(ring, bit, m))
+            for nxt in found:
+                if nxt not in seen:
                     if len(seen) >= PRODUCT_FAMILY_CAP:
                         raise CapExceeded("product family size", len(seen) + 1,
                                           PRODUCT_FAMILY_CAP)
-                    seen.add(nxt2)
-                    work.append(nxt2)
+                    seen.add(nxt)
+                    work.append(nxt)
     return tuple(sorted(seen, key=subset_key))
 
 

@@ -61,7 +61,7 @@ def ring_from_obj(obj: object, *, source: str = "<object>") -> HyperRing:
     if not isinstance(name, str) or not name:
         raise FileFormatError(f"{source}: field 'name' must be a nonempty string")
     size = obj.get("size")
-    if not isinstance(size, int) or size < 1:
+    if isinstance(size, bool) or not isinstance(size, int) or size < 1:
         raise FileFormatError(f"{source}: field 'size' must be a positive integer")
     add = obj.get("add")
     if not isinstance(add, list) or len(add) != size:

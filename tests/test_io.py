@@ -56,6 +56,16 @@ def test_loader_names_bad_field(tmp_path):
     with pytest.raises(FileFormatError) as exc:
         load_ring(path)
     assert str(exc.value).startswith(f"{path}: add[1][0] = '1'")
+    # a JSON true is not element 1, in a table or as the size
+    for field, change in [("add[0][1] = True", {"add": [[0, True], [True, 0]]}),
+                          ("hmul[1][1] contains True",
+                           {"hmul": [[[0], [0]], [[0], [True]]]}),
+                          ("field 'size'", {"size": True, "add": [[0]],
+                                            "hmul": [[[0]]]})]:
+        path.write_text(json.dumps({**obj, "add": [[0, 1], [1, 0]], **change}))
+        with pytest.raises(FileFormatError) as exc:
+            load_ring(path)
+        assert str(exc.value).startswith(f"{path}: {field}"), field
 
 
 def test_loader_names_empty_cell(tmp_path):

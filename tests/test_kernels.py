@@ -9,7 +9,6 @@ from hyperrings.bitsets import bits
 from hyperrings.core import (
     HyperRing,
     RingFlags,
-    ann_mask,
     classify_ring,
     is_nilpotent,
     nzd_mask,
@@ -132,5 +131,4 @@ class TestCachedRingData:
             assert zero_divisor_mask(ring) == ring.zero_divisors
             assert classify_ring(ring) is ring.flags
             for x in range(ring.size):
-                assert ann_mask(ring, x) == ring.annihilators[x]
                 assert is_nilpotent(ring, x) == bool(ring.nilpotent >> x & 1)

@@ -37,8 +37,9 @@ def reference_validate(name, add, hmul, *, require_commutative=True):
         if len(row) != n:
             raise DimensionMismatch(f"add row {a} has length {len(row)}, expected {n}")
         for b, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise DimensionMismatch(f"add[{a}][{b}] = {v!r} out of range 0..{n - 1}")
+            if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
+                raise DimensionMismatch(
+                    f"add[{a}][{b}] = {v!r} is not an index in 0..{n - 1}")
         add_rows.append(tuple(row))
     hmul_rows: list[tuple[int, ...]] = []
     for a, row in enumerate(hmul):
@@ -50,9 +51,9 @@ def reference_validate(name, add, hmul, *, require_commutative=True):
             if not elems:
                 raise EmptyHyperproduct(a, b)
             for v in elems:
-                if not isinstance(v, int) or not 0 <= v < n:
+                if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
                     raise DimensionMismatch(
-                        f"hmul[{a}][{b}] contains {v!r}, out of range 0..{n - 1}")
+                        f"hmul[{a}][{b}] contains {v!r}, not an index in 0..{n - 1}")
             masks.append(mask_of(elems))
         hmul_rows.append(tuple(masks))
 
