@@ -85,7 +85,6 @@ def is_primary(ring: HyperRing, members: int, mode: str = MODE_RELAXED) -> bool:
     return primary_witness(ring, members) is None
 
 
-@cached_on_ring
 def r_witness(ring: HyperRing, members: int,
               regular: str = REGULAR_NZD) -> Optional[tuple[int, int]]:
     """Least (x, y) with x regular, ``x o y`` inside the ideal, y outside."""
@@ -119,8 +118,7 @@ def n_witness(ring: HyperRing, members: int) -> Optional[tuple[int, int]]:
                        full & ~members)
 
 
-def is_n_hyperideal(ring: HyperRing, members: int,
-                    mode: str = MODE_RELAXED) -> bool:
+def is_n_hyperideal(ring: HyperRing, members: int) -> bool:
     """n-law on a proper hyperideal: ``x o y`` inside I with x outside the
     radical of zero forces y into I.  Properness is part of the definition
     in both modes."""
@@ -136,8 +134,8 @@ CLASS_N = "n_ideal"
 
 
 @cached_on_ring
-def class_members(ring: HyperRing, which: str, mode: str = MODE_RELAXED,
-                  regular: str = REGULAR_NZD) -> tuple[int, ...]:
+def class_members(ring: HyperRing, which: str,
+                  mode: str = MODE_RELAXED) -> tuple[int, ...]:
     """Proper hyperideals of the requested class, in canonical order."""
     if which == CLASS_PRIME:
         primes = prime_masks(ring)
@@ -149,13 +147,9 @@ def class_members(ring: HyperRing, which: str, mode: str = MODE_RELAXED,
     if which == CLASS_HYPERIDEAL:
         return proper
     if which == CLASS_R:
-        return tuple(m for m in proper if r_closure_holds(ring, m, regular))
+        return tuple(m for m in proper if r_closure_holds(ring, m))
     if which == CLASS_N:
-        # at I = r(0) the n-law scans x and y outside I: the prime scan
-        # that prime_masks has already run
-        r0, primes = zero_radical(ring), prime_masks(ring)
-        return tuple(m for m in proper if (
-            m in primes if m == r0 else is_n_hyperideal(ring, m, mode)))
+        return tuple(m for m in proper if is_n_hyperideal(ring, m))
     raise ValueError(f"unknown ideal class {which!r}")
 
 
@@ -201,11 +195,6 @@ def is_essential(ring: HyperRing, members: int) -> bool:
         if members & m == ZERO_MASK:
             return False
     return True
-
-
-def is_mult_closed(ring: HyperRing, subset: int) -> bool:
-    """Plain multiplicative closure: ``a o b`` stays inside for a, b in S."""
-    return subset != 0 and is_subset(hprod(ring, subset, subset), subset)
 
 
 def is_r_mult_closed(ring: HyperRing, subset: int, regular: str = REGULAR_NZD,

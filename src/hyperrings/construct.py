@@ -25,6 +25,7 @@ at any carrier size.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -180,14 +181,17 @@ def direct_product(r1: HyperRing, r2: HyperRing, name: Optional[str] = None) -> 
 
 
 def product_factor_sizes(ring: HyperRing) -> Optional[tuple[int, int]]:
-    """Recover factor sizes from product provenance, if present."""
-    if not ring.provenance:
-        return None
-    prov = dict(ring.provenance)
+    """The factor sizes ``(n1, n2)`` of product provenance, or None.  A ring
+    read from a file can carry any provenance, so ``params`` counts only
+    when it is ``<n1>x<n2>`` with ``n1 * n2`` the carrier size."""
+    prov = dict(ring.provenance or ())
     if prov.get("construction") != "product":
         return None
-    n1, _, n2 = prov["params"].partition("x")
-    return int(n1), int(n2)
+    sizes = re.fullmatch(r"([0-9]+)x([0-9]+)", prov.get("params", ""))
+    if sizes is None:
+        return None
+    n1, n2 = int(sizes[1]), int(sizes[2])
+    return (n1, n2) if n1 * n2 == ring.size else None
 
 
 # ---------------------------------------------------------------------------

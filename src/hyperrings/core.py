@@ -93,8 +93,9 @@ class HyperRing:
     argument list; each returns an immutable value:
 
     * ``principal_masks``, ``hyperideal_masks``, ``product_family``,
-      ``prime_masks`` and ``zero_radical`` of :mod:`hyperrings.ideals`;
-    * ``r_witness``, ``class_members`` and ``minimal_primes`` of
+      ``law_witness``, ``prime_masks`` and ``zero_radical`` of
+      :mod:`hyperrings.ideals`;
+    * ``class_members`` and ``minimal_primes`` of
       :mod:`hyperrings.classifiers`;
     * the good-homomorphism search plan and the hyperproduct cells it
       compares, of :mod:`hyperrings.construct`.

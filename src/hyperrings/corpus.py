@@ -26,11 +26,17 @@ from typing import Optional
 
 from .bitsets import elements_of
 from .core import HyperRing, HyperRingError, validate_hyperring
-from .construct import direct_product, matrix_hyperring, quotient
+from .construct import (
+    MATRIX_CARRIER_CAP,
+    direct_product,
+    matrix_hyperring,
+    quotient,
+)
 from .ideals import hyperideal_masks
 from .io import ring_sha256, ring_to_json_bytes
 
 DEFAULT_A_SETS: tuple[tuple[int, ...], ...] = ((1,), (5, 7), (2, 3), (-1, 1))
+PRODUCT_SIZE_CAP = 12  # largest carrier the closure builds as a direct product
 
 
 @dataclass(frozen=True)
@@ -40,8 +46,6 @@ class CorpusSpec:
     a_sets: tuple[tuple[int, ...], ...] = DEFAULT_A_SETS
     total_range: Optional[tuple[int, int]] = None
     closure_depth: int = 1
-    product_size_cap: int = 12
-    matrix_size_cap: int = 16
 
 
 @dataclass
@@ -147,17 +151,17 @@ def generate_corpus(spec: CorpusSpec = CorpusSpec()) -> CorpusResult:
                 admit(lambda r=ring, m=members: quotient(r, m).ring, label)
         for i, r1 in enumerate(base):
             for r2 in base[i:]:
-                if r1.size * r2.size > spec.product_size_cap:
+                if r1.size * r2.size > PRODUCT_SIZE_CAP:
                     continue
                 admit(lambda a=r1, b=r2: direct_product(a, b),
                       f"{r1.name}x{r2.name}")
         for ring in base:
-            if ring.size ** 4 > spec.matrix_size_cap:
+            # skipped, not discarded: matrix_hyperring would raise CapExceeded
+            if ring.size ** 4 > MATRIX_CARRIER_CAP:
                 continue
             if not ring.scalar_identity:
                 continue
-            admit(lambda r=ring: matrix_hyperring(r, 2, cap=spec.matrix_size_cap),
-                  f"M2({ring.name})")
+            admit(lambda r=ring: matrix_hyperring(r, 2), f"M2({ring.name})")
 
     return result
 

@@ -154,28 +154,24 @@ def enumerate_hyperideals(ring: HyperRing) -> list[IdealProfile]:
 def product_family(ring: HyperRing) -> tuple[int, ...]:
     """All subsets realizable as finite hyperproducts ``r1 o ... o rk``.
 
-    Seeded with singletons (length-1 products) and closed under
-    multiplication by singletons, ``m o b`` and, on a non-commutative
-    carrier, ``b o m``; associativity makes this the whole family.  Guarded
-    by a size cap because pathological tables can generate large
-    sublattices.
+    Seeded with singletons (length-1 products) and closed under right
+    multiplication by singletons, ``m o b``.  By associativity
+    ``r1 o ... o rk = (r1 o ... o r(k-1)) o rk``, so this reaches the whole
+    family on any carrier, commutative or not.  Guarded by a size cap
+    because pathological tables can generate large sublattices.
     """
     seen: set[int] = set(singleton(a) for a in range(ring.size))
     work = list(seen)
     while work:
         m = work.pop()
         for b in range(ring.size):
-            bit = singleton(b)
-            found = [hprod(ring, m, bit)]
-            if not ring.commutative:
-                found.append(hprod(ring, bit, m))
-            for nxt in found:
-                if nxt not in seen:
-                    if len(seen) >= PRODUCT_FAMILY_CAP:
-                        raise CapExceeded("product family size", len(seen) + 1,
-                                          PRODUCT_FAMILY_CAP)
-                    seen.add(nxt)
-                    work.append(nxt)
+            nxt = hprod(ring, m, singleton(b))
+            if nxt not in seen:
+                if len(seen) >= PRODUCT_FAMILY_CAP:
+                    raise CapExceeded("product family size", len(seen) + 1,
+                                      PRODUCT_FAMILY_CAP)
+                seen.add(nxt)
+                work.append(nxt)
     return tuple(sorted(seen, key=subset_key))
 
 
@@ -263,11 +259,15 @@ def ann_of_set(ring: HyperRing, mask: int) -> int:
     return out
 
 
+@cached_on_ring
 def law_witness(ring: HyperRing, members: int, xs: int,
                 ys: int) -> Optional[tuple[int, int]]:
     """Least pair (x, y) with x in ``xs``, y in ``ys`` and ``x o y`` inside
     the ideal: the one scan behind every law of the form "``x o y`` inside I
-    and x in X force y into Y"."""
+    and x in X force y into Y".  It is kept on the ring, so two laws that
+    reduce to the same scan share it: the n-law at I = r(0) is the prime
+    scan of r(0), and the primary scan of a prime P, which is its own
+    radical, is the prime scan of P."""
     hm = ring.hmul
     right = bits(ys)
     for x in bits(xs):

@@ -4,8 +4,9 @@ The on-disk format is a JSON object::
 
     {"name": str, "size": n, "add": [[int; n]; n], "hmul": [[[int, ...]; n]; n]}
 
-plus optional keys ``"commutative"`` (bool, default true) and
-``"construction"``/``"source"`` provenance strings on constructed rings.
+plus optional keys ``"commutative"`` (bool, default true) and the
+``"construction"``/``"source"``/``"params"`` provenance strings of
+constructed rings.
 Serialization is canonical (sorted cells, sorted keys, LF) so that saving
 the same ring twice is byte-identical and content hashes are stable.
 """
@@ -82,11 +83,12 @@ def ring_from_obj(obj: object, *, source: str = "<object>") -> HyperRing:
     commutative = obj.get("commutative", True)
     if not isinstance(commutative, bool):
         raise FileFormatError(f"{source}: field 'commutative' must be a boolean")
-    provenance = {
-        key: obj[key]
-        for key in ("construction", "source", "params")
-        if key in obj
-    }
+    provenance = {}
+    for key in ("construction", "source", "params"):
+        if key in obj:
+            if not isinstance(obj[key], str):
+                raise FileFormatError(f"{source}: field {key!r} must be a string")
+            provenance[key] = obj[key]
     try:
         return validate_hyperring(
             name, add, hmul,

@@ -191,7 +191,7 @@ class RingContext:
 
     Ideal families and the radical of zero come from the library functions
     that define them, which keep them on the :class:`HyperRing`; so does
-    the r-law witness that ``r_ok`` reads, for any subset, with no ideal
+    the law scan that ``r_ok`` reads, for any subset, with no ideal
     enumeration.  The accessors that read an ideal family (``ideals``,
     ``_class``, ``rad0`` and ``minimal_primes``) raise :class:`CapExceeded`
     on a carrier larger than :data:`ENUMERATION_CAP`.  That limit is the
@@ -672,6 +672,22 @@ def _idempotents(ctx: RingContext, rd: Reading) -> list[int]:
     return out
 
 
+def _annihilator_sums_stay(ctx: RingContext, rd: Reading,
+                           family: Callable[[], tuple[int, ...]],
+                           key: str) -> CheckResult:
+    """T08a and T08b: on a reduced ring, each member of the family plus the
+    annihilator of an idempotent is an r-closed hyperideal.  The family is
+    read only once the ring is known to be reduced."""
+    if not classify_ring(ctx.ring).reduced:
+        return NOT_APPLICABLE, {"reason": "ring is not reduced"}
+    for p_mask in family():
+        for s in _idempotents(ctx, rd):
+            total = set_sum(ctx.ring, p_mask, ctx.ann(s))
+            if not is_hyperideal(ctx.ring, total) or not ctx.r_ok(total):
+                return _ce(**{key: p_mask}, idempotent=s, sum_set=total)
+    return HOLDS, None
+
+
 @entry("T08a",
        "In a reduced hyperring, a minimal nonzero hyperideal plus the "
        "annihilator of an idempotent element is r-closed.",
@@ -679,16 +695,9 @@ def _idempotents(ctx: RingContext, rd: Reading) -> list[int]:
        notes="Minimality admits two readings; this variant takes "
              "minimal-nonzero, its sibling T08b minimal-prime.")
 def _t08a(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
-    if not classify_ring(ctx.ring).reduced:
-        return NOT_APPLICABLE, {"reason": "ring is not reduced"}
-    minimals = [m for m in ctx.proper()
-                if is_minimal_nonzero(ctx.ring, m)]
-    for p_mask in minimals:
-        for s in _idempotents(ctx, rd):
-            total = set_sum(ctx.ring, p_mask, ctx.ann(s))
-            if not is_hyperideal(ctx.ring, total) or not ctx.r_ok(total):
-                return _ce(minimal_set=p_mask, idempotent=s, sum_set=total)
-    return HOLDS, None
+    return _annihilator_sums_stay(ctx, rd, lambda: tuple(
+        m for m in ctx.proper() if is_minimal_nonzero(ctx.ring, m)),
+        "minimal_set")
 
 
 @entry("T08b",
@@ -697,15 +706,8 @@ def _t08a(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
        axes=("idempotent", "prime_mode"),
        notes="Variant of T08a reading minimal as minimal-prime.")
 def _t08b(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
-    if not classify_ring(ctx.ring).reduced:
-        return NOT_APPLICABLE, {"reason": "ring is not reduced"}
-    for p_mask in ctx.minimal_primes(rd):
-        for s in _idempotents(ctx, rd):
-            total = set_sum(ctx.ring, p_mask, ctx.ann(s))
-            if not is_hyperideal(ctx.ring, total) or not ctx.r_ok(total):
-                return _ce(minimal_prime_set=p_mask, idempotent=s,
-                           sum_set=total)
-    return HOLDS, None
+    return _annihilator_sums_stay(
+        ctx, rd, lambda: ctx.minimal_primes(rd), "minimal_prime_set")
 
 
 # --- r-hyperideals vs primes (T09..T17) -------------------------------------
@@ -776,26 +778,33 @@ def _t12(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     return HOLDS, None
 
 
-@entry("T13",
-       "If an ideal lies irredundantly in a union of ideals of which one is "
-       "an r-ideal and the others contain regular elements, it lies in the "
-       "r-ideal.",
-       axes=("regular",))
-def _t13(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
-    reg = ctx.reg(rd)
-    all_ideals = ctx.ideals()
-    for i_mask in all_ideals:
+def _covers_land_in(ctx: RingContext, reg: int,
+                    is_target: Callable[[int], bool], key: str) -> CheckResult:
+    """T13 and T14: an ideal covered irredundantly by ideals of which one
+    is a target and the others meet ``reg`` lies inside that target."""
+    for i_mask in ctx.ideals():
         for combo in ctx.irredundant_covers(i_mask):
             for t, target in enumerate(combo):
-                if target == ctx.ring.carrier_mask or not ctx.r_ok(target):
+                if not is_target(target):
                     continue
                 if any(not (m & reg) for u, m in enumerate(combo) if u != t):
                     continue
                 if not is_subset(i_mask, target):
                     return _ce(ideal_set=i_mask,
                                cover=[elements_of(m) for m in combo],
-                               r_member_set=target)
+                               **{key: target})
     return HOLDS, None
+
+
+@entry("T13",
+       "If an ideal lies irredundantly in a union of ideals of which one is "
+       "an r-ideal and the others contain regular elements, it lies in the "
+       "r-ideal.",
+       axes=("regular",))
+def _t13(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
+    full = ctx.ring.carrier_mask
+    return _covers_land_in(ctx, ctx.reg(rd),
+                           lambda m: m != full and ctx.r_ok(m), "r_member_set")
 
 
 @entry("T14",
@@ -804,21 +813,8 @@ def _t13(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
        "regular elements, it lies in the minimal prime.",
        axes=("regular", "prime_mode"))
 def _t14(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
-    reg = ctx.reg(rd)
-    minimal = set(ctx.minimal_primes(rd))
-    all_ideals = ctx.ideals()
-    for i_mask in all_ideals:
-        for combo in ctx.irredundant_covers(i_mask):
-            for t, target in enumerate(combo):
-                if target not in minimal:
-                    continue
-                if any(not (m & reg) for u, m in enumerate(combo) if u != t):
-                    continue
-                if not is_subset(i_mask, target):
-                    return _ce(ideal_set=i_mask,
-                               cover=[elements_of(m) for m in combo],
-                               prime_set=target)
-    return HOLDS, None
+    return _covers_land_in(ctx, ctx.reg(rd),
+                           set(ctx.minimal_primes(rd)).__contains__, "prime_set")
 
 
 @entry("T15",
@@ -1051,7 +1047,7 @@ def _t31(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     nil_free = [m for m in all_ideals
                 if not m & ctx.ring.nilpotent & ~ZERO_MASK]
     for i_mask in all_ideals:
-        for k in (2, COVER_MAX):
+        for k in range(2, COVER_MAX + 1):
             for combo in combinations(all_ideals, k):
                 union = 0
                 for m in combo:

@@ -157,6 +157,49 @@ class TestRingCachedFamilies:
         assert closures[0] > 0 and scans[0] > 0
 
 
+class TestLawScans:
+    """``ideals.law_witness`` is the one cached law scan: each distinct
+    (ideal, xs, ys) scan runs once per ring, whichever law asks for it."""
+
+    @staticmethod
+    def classify_everything(ring):
+        primes = ideals.prime_masks(ring)
+        for which in (classifiers.CLASS_HYPERIDEAL, classifiers.CLASS_PRIME,
+                      classifiers.CLASS_R, classifiers.CLASS_N):
+            classifiers.class_members(ring, which)
+        for p in primes:
+            classifiers.is_primary(ring, p)
+        for members in ideals.hyperideal_masks(ring):
+            classifiers.classify_ideal(ring, members)
+
+    def test_second_round_scans_nothing(self):
+        for n in (4, 12):
+            ring = ordinary_ring(n)
+            self.classify_everything(ring)
+            before = ideals.law_witness.cache_info()
+            self.classify_everything(ring)
+            after = ideals.law_witness.cache_info()
+            assert after.misses == before.misses
+            assert after.hits > before.hits
+        assert not hasattr(classifiers.r_witness, "cache_info")
+
+    def test_coinciding_laws_share_a_scan(self):
+        """The primary scan of a prime is its prime scan, and so is the
+        n-law scan at r(0) when r(0) is prime; on Z4 r(0) = {0, 2}."""
+        ring = ordinary_ring(4)
+        primes = ideals.prime_masks(ring)
+        r0 = ideals.zero_radical(ring)
+        assert primes == (r0,) == (mask_of([0, 2]),)
+        start = ideals.law_witness.cache_info().misses
+        assert classifiers.is_primary(ring, r0)
+        assert classifiers.n_witness(ring, r0) is None
+        assert ideals.law_witness.cache_info().misses == start
+        # the n-class adds the one scan no other law asked for, at {0}
+        assert classifiers.class_members(ring, classifiers.CLASS_N) \
+            == (mask_of([0]), r0)
+        assert ideals.law_witness.cache_info().misses == start + 1
+
+
 class TestCacheInfo:
     def test_misses_count_computations(self):
         ring, twin = ordinary_ring(9), ordinary_ring(9)

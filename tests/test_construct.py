@@ -576,6 +576,36 @@ def _oracle_projection(ring: HyperRing) -> tuple[int, ...]:
                  for x in range(ring.size))
 
 
+def _two_sided_products(ring: HyperRing) -> set[int]:
+    """Every ``r1 o ... o rk``, grown from the singletons by multiplying by
+    one more element on either side, cell by cell."""
+    seen = {singleton(a) for a in range(ring.size)}
+    work = list(seen)
+    while work:
+        m = work.pop()
+        for b in range(ring.size):
+            right = left = 0
+            for x in bits(m):
+                right |= ring.hmul[x][b]
+                left |= ring.hmul[b][x]
+            for grown in (right, left):
+                if grown not in seen:
+                    seen.add(grown)
+                    work.append(grown)
+    return seen
+
+
+def test_product_family_needs_no_left_products(default_corpus, small_corpus):
+    """``product_family`` multiplies on the right only; by associativity
+    that reaches every product on a non-commutative carrier too."""
+    triangular = [_triangular_z2_with_products(a_set) for a_set in
+                  (((1, 0, 1),), ((1, 0, 0), (1, 0, 1)), ((1, 0, 1), (1, 1, 1)))]
+    rings = [*default_corpus.rings, *small_corpus, *triangular]
+    assert sum(not ring.commutative for ring in rings) == 4
+    for ring in rings:
+        assert set(product_family(ring)) == _two_sided_products(ring), ring.name
+
+
 class TestClassicalNIdeal:
     def ordinary(self, n):
         r = ordinary_ring(n)

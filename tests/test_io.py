@@ -61,7 +61,11 @@ def test_loader_names_bad_field(tmp_path):
                           ("hmul[1][1] contains True",
                            {"hmul": [[[0], [0]], [[0], [True]]]}),
                           ("field 'size'", {"size": True, "add": [[0]],
-                                            "hmul": [[[0]]]})]:
+                                            "hmul": [[[0]]]}),
+                          # provenance is text, kept as written
+                          ("field 'params'", {"params": 7}),
+                          ("field 'construction'", {"construction": ["product"]}),
+                          ("field 'source'", {"source": None})]:
         path.write_text(json.dumps({**obj, "add": [[0, 1], [1, 0]], **change}))
         with pytest.raises(FileFormatError) as exc:
             load_ring(path)

@@ -2,15 +2,21 @@
 
 import dataclasses
 import json
+from collections import Counter
 from importlib import resources
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from hyperrings import theorems
-from hyperrings.bitsets import is_subset
+from hyperrings.bitsets import is_subset, mask_of
 from hyperrings.classifiers import is_n_hyperideal, is_prime, r_closure_holds
-from hyperrings.core import ZERO_MASK, CapExceeded, HyperRingError
+from hyperrings.core import (
+    ZERO_MASK,
+    CapExceeded,
+    HyperRingError,
+    validate_hyperring,
+)
 from hyperrings.corpus import ordinary_ring, zn_with_products
 from hyperrings.construct import direct_product, quotient
 from hyperrings.ideals import (
@@ -20,6 +26,7 @@ from hyperrings.ideals import (
     radical,
     set_product,
 )
+from hyperrings.io import ring_from_obj, ring_to_obj
 from hyperrings.theorems import (
     COUNTEREXAMPLE,
     HOLDS,
@@ -163,12 +170,20 @@ class TestSingleVerdicts:
                          explore_readings=False)
         assert v2.status == HOLDS
 
-    def test_t39_needs_product_provenance(self, z4, z2):
+    def test_t39_needs_product_provenance(self, z4, z2, z6):
         v = run_theorem(REGISTRY_BY_ID["T39"], z4, explore_readings=False)
         assert v.status == NOT_APPLICABLE
         prod = direct_product(z2, z4)
         v2 = run_theorem(REGISTRY_BY_ID["T39"], prod, explore_readings=False)
         assert v2.status == HOLDS
+        # a file can claim any factor sizes; only <n1>x<n2> with n1 * n2
+        # the carrier size is read as a product construction
+        for params in ("6", "2x2", "x6", "1x6x1", "+1x6", "0x6"):
+            claimed = ring_from_obj({**ring_to_obj(z6), "construction": "product",
+                                     "params": params})
+            v3 = run_suite([claimed], only={"T39"}).verdicts[0]
+            assert (v3.status, v3.witness) == (
+                NOT_APPLICABLE, {"reason": "not a product construction"}), params
 
     def test_t40_gamma_cap(self, z12, z4):
         v = run_theorem(REGISTRY_BY_ID["T40"], z12, explore_readings=False)
@@ -192,16 +207,18 @@ class TestSingleVerdicts:
             assert "enumeration cap" not in v.witness["reason"]
 
 
+def klein_zero_ring():
+    """Zero multiplication over the Klein four-group: every subgroup is a
+    hyperideal and the three two-element subgroups cover the ring
+    irredundantly (the smallest structure where ideal covers exist)."""
+    add = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+    hmul = [[[0]] * 4 for _ in range(4)]
+    return validate_hyperring("klein-zero", add, hmul)
+
+
 class TestCoverMachinery:
     def test_irredundant_covers_found_on_klein_zero_ring(self):
-        # zero multiplication over the Klein four-group: every subgroup is
-        # a hyperideal and the three two-element subgroups cover the ring
-        # irredundantly (the smallest structure where ideal covers exist)
-        from hyperrings.core import validate_hyperring
-
-        add = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
-        hmul = [[[0]] * 4 for _ in range(4)]
-        ring = validate_hyperring("klein-zero", add, hmul)
+        ring = klein_zero_ring()
         assert ring.identity is None
         ctx = RingContext(ring)
         ideals = ctx.ideals()
@@ -217,6 +234,76 @@ class TestCoverMachinery:
                 if is_subset(i, union(c))
                 and not any(is_subset(i, union(c[:t] + c[t + 1:]))
                             for t in range(k)))
+
+
+def check_every_reading(ring, tids):
+    """``(entry, reading values) -> (status, witness)`` from calling each
+    checker directly, past the gates, on every reading of its axes."""
+    ctx = RingContext(ring)
+    suite = theorems.Suite([ctx])
+    out = {}
+    for tid in tids:
+        entry = REGISTRY_BY_ID[tid]
+        for values in product(*(READING_AXES[a] for a in entry.axes)):
+            rd = Reading(standing="waived", **dict(zip(entry.axes, values)))
+            out[tid, values] = entry.checker(ctx, rd, suite)
+    return out
+
+
+class TestSharedCheckerBodies:
+    """T08a/T08b and T13/T14 each run through one shared body, and T31
+    scans covers of 2..COVER_MAX ideals; their statuses and witnesses are
+    pinned under every reading of their axes."""
+
+    TIDS = ("T08a", "T08b", "T13", "T14", "T31")
+
+    def test_small_corpus_under_every_reading(self, small_corpus):
+        counts = Counter()
+        for ring in small_corpus:
+            for (tid, _), (status, witness) in check_every_reading(
+                    ring, self.TIDS).items():
+                assert witness in (None, {"reason": "ring is not reduced"})
+                counts[tid, status] += 1
+        assert counts == {
+            ("T08a", HOLDS): 54, ("T08a", NOT_APPLICABLE): 4,
+            ("T08b", HOLDS): 108, ("T08b", NOT_APPLICABLE): 8,
+            ("T13", HOLDS): 58, ("T14", HOLDS): 116, ("T31", HOLDS): 29}
+
+    def test_klein_zero_ring_under_every_reading(self):
+        cover = [[0, 1], [0, 2], [0, 3]]
+        results = check_every_reading(klein_zero_ring(), self.TIDS)
+        assert results.pop(("T13", ("vnr",))) == (COUNTEREXAMPLE, {
+            "ideal": [0, 1, 2, 3], "cover": cover, "r_member": [0, 1]})
+        reduced = (NOT_APPLICABLE, {"reason": "ring is not reduced"})
+        assert all(result == (reduced if tid.startswith("T08") else (HOLDS, None))
+                   for (tid, _), result in results.items())
+        assert len(results) == 2 + 4 + 1 + 4 + 1
+
+    def test_witness_keys(self, z6):
+        """Contexts that refuse every r-law and name a minimal prime push
+        T08a, T08b and T14 into the counterexample branch of the shared
+        bodies, so each witness keeps its own key."""
+        class NothingIsR(RingContext):
+            def r_ok(self, members):
+                return False
+
+        class OneMinimalPrime(RingContext):
+            def minimal_primes(self, rd):
+                return (mask_of([0, 1]),)
+
+        everything = list(range(6))
+        for tid, key in (("T08a", "minimal"), ("T08b", "minimal_prime")):
+            ctx = NothingIsR(z6)
+            assert REGISTRY_BY_ID[tid].checker(
+                ctx, Reading(), theorems.Suite([ctx])) == (COUNTEREXAMPLE, {
+                    key: [0, 3], "idempotent": 0, "sum": everything})
+        ctx = OneMinimalPrime(klein_zero_ring())
+        t14 = REGISTRY_BY_ID["T14"].checker
+        assert t14(ctx, Reading(), theorems.Suite([ctx])) == (HOLDS, None)
+        assert t14(ctx, Reading(regular="vnr"), theorems.Suite([ctx])) == (
+            COUNTEREXAMPLE, {"ideal": [0, 1, 2, 3],
+                             "cover": [[0, 1], [0, 2], [0, 3]],
+                             "prime": [0, 1]})
 
 
 def union(masks):
