@@ -13,7 +13,6 @@ the same ring twice is byte-identical and content hashes are stable.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Union
@@ -48,6 +47,7 @@ def ring_to_json_bytes(ring: HyperRing) -> bytes:
 
 
 def ring_sha256(ring: HyperRing) -> str:
+    import hashlib  # here, by its one user: importing it maps OpenSSL
     return hashlib.sha256(ring_to_json_bytes(ring)).hexdigest()
 
 

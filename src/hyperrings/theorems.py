@@ -37,11 +37,12 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from io import BytesIO
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional
 
-from .bitsets import bits, elements_of, is_subset, singleton, subset_key
+from .bitsets import bits, elements_of, is_subset, singleton, subset_key, union_of
 from .core import (
     CapExceeded,
     HyperRing,
@@ -330,17 +331,11 @@ class RingContext:
             covers = []
             for k in range(2, COVER_MAX + 1):
                 for combo in combinations(self.ideals(), k):
-                    union = 0
-                    for m in combo:
-                        union |= m
-                    if not is_subset(i_mask, union):
+                    if not is_subset(i_mask, union_of(combo)):
                         continue
                     redundant = False
                     for skip in range(k):
-                        rest = 0
-                        for t, m in enumerate(combo):
-                            if t != skip:
-                                rest |= m
+                        rest = union_of(combo[:skip] + combo[skip + 1:])
                         if is_subset(i_mask, rest):
                             redundant = True
                             break
@@ -1044,32 +1039,28 @@ def _t30(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
        "cannot be dropped, the ideal lies in the n-member.")
 def _t31(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     all_ideals = ctx.ideals()
-    nil_free = [m for m in all_ideals
-                if not m & ctx.ring.nilpotent & ~ZERO_MASK]
+    n_class = set(ctx.n_class())
+    nil_free = {m for m in all_ideals if not m & ctx.ring.nilpotent & ~ZERO_MASK}
+    # a cover's candidate n-members do not depend on I: read each cover once
+    covers = []
+    for k in range(2, COVER_MAX + 1):
+        for combo in combinations(all_ideals, k):
+            targets = []
+            for t, target in enumerate(combo):
+                others = combo[:t] + combo[t + 1:]
+                if target in n_class and nil_free.issuperset(others):
+                    targets.append((target, union_of(others)))
+            if targets:
+                covers.append((combo, union_of(combo), targets))
     for i_mask in all_ideals:
-        for k in range(2, COVER_MAX + 1):
-            for combo in combinations(all_ideals, k):
-                union = 0
-                for m in combo:
-                    union |= m
-                if not is_subset(i_mask, union):
-                    continue
-                for t, target in enumerate(combo):
-                    if not ctx.is_n(target):
-                        continue
-                    if any(m not in nil_free
-                           for u, m in enumerate(combo) if u != t):
-                        continue
-                    rest = 0
-                    for u, m in enumerate(combo):
-                        if u != t:
-                            rest |= m
-                    if is_subset(i_mask, rest):
-                        continue
-                    if not is_subset(i_mask, target):
-                        return _ce(ideal_set=i_mask,
-                                   cover=[elements_of(m) for m in combo],
-                                   n_member_set=target)
+        for combo, union, targets in covers:
+            if not is_subset(i_mask, union):
+                continue
+            for target, rest in targets:
+                if not is_subset(i_mask, rest) and not is_subset(i_mask, target):
+                    return _ce(ideal_set=i_mask,
+                               cover=[elements_of(m) for m in combo],
+                               n_member_set=target)
     return HOLDS, None
 
 
@@ -1392,45 +1383,46 @@ _PAD = tuple("\n" + "  " * depth for depth in range(4))
 _compact = json.JSONEncoder(sort_keys=True).encode
 
 
-def _indented(value, pad: str) -> str:
+def _indented(value, pad: str) -> bytes:
     """``value`` as the indented report writes it at the depth whose line
-    break is ``pad``.  JSON escapes every newline inside a string, so each
-    newline of the text is a line break of the layout."""
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+    break is ``pad``, in ASCII.  JSON escapes every newline inside a
+    string, so each newline of the text is a line break of the layout."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad).encode()
 
 
-def _verdict_writer(pieces: list[str],
+def _verdict_writer(write: Callable[[bytes], object],
                     include_timings: bool) -> Callable[[list], None]:
-    """A function that appends a nonempty verdict list to ``pieces``.  Each
-    field value is rendered once per distinct value over every list it
-    writes; only ``wall_ms`` differs from verdict to verdict."""
-    strings: dict[str, str] = {}
-    nested: dict[str, str] = {}  # keyed by the value's compact text
-    heads: dict[tuple[str, ...], list[tuple[str, str]]] = {}
-    first, later = (f"{comma}{_PAD[2]}{{" for comma in "[,")
-    close, end = f"{_PAD[2]}}}", f"{_PAD[1]}]"
+    """A function that passes a nonempty verdict list to ``write`` as
+    ASCII fragments.  Each field value is rendered once per distinct value
+    over every list it writes; only ``wall_ms`` differs from verdict to
+    verdict."""
+    strings: dict[str, bytes] = {}
+    nested: dict[str, bytes] = {}  # keyed by the value's compact text
+    heads: dict[tuple[str, ...], list[tuple[str, bytes]]] = {}
+    first, later = (f"{comma}{_PAD[2]}{{".encode() for comma in "[,")
+    close, end = f"{_PAD[2]}}}".encode(), f"{_PAD[1]}]".encode()
 
-    def field_text(value) -> str:
+    def field_text(value) -> bytes:
         if value is None:
-            return "null"
+            return b"null"
         if value is True:
-            return "true"
+            return b"true"
         if value is False:
-            return "false"
+            return b"false"
         if type(value) is str:
             out = strings.get(value)
             if out is None:
-                out = strings[value] = encode_basestring_ascii(value)
+                out = strings[value] = encode_basestring_ascii(value).encode()
             return out
         if type(value) is float:
-            return _compact(value)
+            return _compact(value).encode()
         key = _compact(value)
         out = nested.get(key)
         if out is None:
             out = nested[key] = _indented(value, _PAD[3])
         return out
 
-    def write(verdicts: list) -> None:
+    def write_verdicts(verdicts: list) -> None:
         opener = first
         for v in verdicts:
             obj = v.to_obj(include_timings)
@@ -1439,17 +1431,17 @@ def _verdict_writer(pieces: list[str],
             if layout is None:
                 layout = heads[names] = [
                     (name, f"{',' if i else ''}{_PAD[3]}"
-                           f"{encode_basestring_ascii(name)}: ")
+                           f"{encode_basestring_ascii(name)}: ".encode())
                     for i, name in enumerate(sorted(names))]
-            pieces.append(opener)
+            write(opener)
             for name, head in layout:
-                pieces.append(head)
-                pieces.append(field_text(obj[name]))
-            pieces.append(close)
+                write(head)
+                write(field_text(obj[name]))
+            write(close)
             opener = later
-        pieces.append(end)
+        write(end)
 
-    return write
+    return write_verdicts
 
 
 @dataclass
@@ -1497,20 +1489,22 @@ class SuiteReport:
         ensure_ascii=True) + "\\n"``, so ASCII, sorted keys, two-space
         indent and one trailing LF.
 
-        The bytes are written without that object: each verdict is written
-        as pieces at its fixed depth, each distinct nested field value is
-        rendered once, and the pieces are joined once."""
-        pieces = ["{"]
-        write_verdicts = _verdict_writer(pieces, include_timings)
+        The bytes are written without that object, as ASCII fragments
+        straight into one buffer, with no joined or encoded copy: each
+        verdict at its fixed depth, each distinct nested value rendered once."""
+        out = BytesIO()
+        write = out.write
+        write_verdicts = _verdict_writer(write, include_timings)
+        write(b"{")
         for i, (key, value) in enumerate(sorted(self._fields().items())):
-            pieces.append(f"{',' if i else ''}{_PAD[1]}"
-                          f"{encode_basestring_ascii(key)}: ")
+            write(f"{',' if i else ''}{_PAD[1]}"
+                  f"{encode_basestring_ascii(key)}: ".encode())
             if key in _VERDICT_LISTS and value:
                 write_verdicts(value)
             else:
-                pieces.append(_indented(value, _PAD[1]))
-        pieces.append("\n}\n")
-        return "".join(pieces).encode()
+                write(_indented(value, _PAD[1]))
+        write(b"\n}\n")
+        return out.getvalue()
 
     def exit_status(self) -> int:
         return 1 if self.counterexamples else 0

@@ -8,7 +8,11 @@ benchmark's traced run reads (``hyperideal_masks.cache_info().misses``)."""
 import dataclasses
 import functools
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -284,3 +288,15 @@ def test_no_module_level_lru_cache():
                          for qualname, obj in candidates.items()
                          if isinstance(obj, functools._lru_cache_wrapper))
     assert found == set()
+
+
+def test_import_loads_no_hashlib_or_logging():
+    """``import hyperrings`` maps no OpenSSL and sets up no logging: the
+    sha256 of ``ring_sha256`` is imported when it is first called.  The
+    child runs without ``site``, so no startup hook loads either module."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperrings.__file__).parents[1]))
+    code = ("import sys, hyperrings; "
+            "print(sorted({'hashlib', 'logging'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 from collections import Counter
 from importlib import resources
 from itertools import combinations, product
@@ -9,7 +10,7 @@ from itertools import combinations, product
 import pytest
 
 from hyperrings import theorems
-from hyperrings.bitsets import is_subset, mask_of
+from hyperrings.bitsets import elements_of, is_subset, mask_of
 from hyperrings.classifiers import is_n_hyperideal, is_prime, r_closure_holds
 from hyperrings.core import (
     ZERO_MASK,
@@ -306,6 +307,79 @@ class TestSharedCheckerBodies:
                              "prime": [0, 1]})
 
 
+def t31_by_rescan(ctx):
+    """T31 as it was written before its covers were built once per call:
+    every cover union is rebuilt for each ideal, and the n-law is read
+    through ``ctx.is_n``.  The oracle for the first counterexample."""
+    all_ideals = ctx.ideals()
+    nil_free = [m for m in all_ideals
+                if not m & ctx.ring.nilpotent & ~ZERO_MASK]
+    for i_mask in all_ideals:
+        for k in range(2, theorems.COVER_MAX + 1):
+            for combo in combinations(all_ideals, k):
+                union = 0
+                for m in combo:
+                    union |= m
+                if not is_subset(i_mask, union):
+                    continue
+                for t, target in enumerate(combo):
+                    if not ctx.is_n(target):
+                        continue
+                    if any(m not in nil_free
+                           for u, m in enumerate(combo) if u != t):
+                        continue
+                    rest = 0
+                    for u, m in enumerate(combo):
+                        if u != t:
+                            rest |= m
+                    if is_subset(i_mask, rest):
+                        continue
+                    if not is_subset(i_mask, target):
+                        return theorems._ce(
+                            ideal_set=i_mask,
+                            cover=[elements_of(m) for m in combo],
+                            n_member_set=target)
+    return HOLDS, None
+
+
+class TestT31Covers:
+    """T31 builds each cover union once per call; its status and first
+    witness equal the rescan's under both readings of the standing axis."""
+
+    @staticmethod
+    def check(ctx):
+        t31 = REGISTRY_BY_ID["T31"].checker
+        expected = t31_by_rescan(ctx)
+        for standing in READING_AXES["standing"]:
+            assert t31(ctx, Reading(standing=standing),
+                       theorems.Suite([ctx])) == expected
+        return expected
+
+    def test_corpora_and_klein_zero_ring(self, default_corpus, small_corpus):
+        rings = [*default_corpus.rings, *small_corpus, klein_zero_ring()]
+        statuses = Counter(self.check(RingContext(r))[0] for r in rings)
+        assert statuses == {HOLDS: 88 + 29 + 1}
+
+    def test_first_counterexample(self, z6):
+        """A family of subsets with claimed n-members has many
+        counterexamples; the first one found is the rescan's."""
+        family = tuple(mask_of(s) for s in (
+            [0, 1], [0, 2], [0, 3], [0, 4], [0, 1, 2], [0, 3, 4],
+            [0, 1, 2, 3, 4]))
+
+        class Claimed(RingContext):
+            def ideals(self):
+                return family
+
+            def n_class(self):
+                return family[1::2]
+
+        status, witness = self.check(Claimed(z6))
+        assert status == COUNTEREXAMPLE
+        assert witness == {"ideal": [0, 1, 2], "cover": [[0, 1], [0, 2]],
+                           "n_member": [0, 2]}
+
+
 def union(masks):
     out = 0
     for m in masks:
@@ -406,6 +480,20 @@ class TestReportBytes:
         for include_timings in (False, True):
             assert report.to_json_bytes(include_timings) \
                 == canonical_json(report, include_timings)
+
+    def test_peak_is_about_one_report(self, default_corpus):
+        """The report is written into one buffer: no list of pieces, no
+        joined text and no encoded copy live beside it."""
+        report = run_suite(default_corpus.rings)
+        for include_timings in (False, True):
+            tracemalloc.start()
+            try:
+                data = report.to_json_bytes(include_timings)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert type(data) is bytes
+            assert peak <= 1.5 * len(data), (peak, len(data))
 
 
 # Status of each entry on the small corpus, in ring order: h holds,
