@@ -23,13 +23,27 @@ from .construct import (
     quotient,
 )
 from .corpus import CorpusSpec, generate_corpus, save_corpus
-from .ideals import enumerate_hyperideals
+from .ideals import enumerate_hyperideals, is_hyperideal
 from .io import FileFormatError, load_ring, ring_to_obj
 from .theorems import REGISTRY_BY_ID, Reading, reading_from_flags, run_suite
 
 
 def _load(path: str) -> HyperRing:
     return load_ring(Path(path))
+
+
+def _ideal_arg(ring: HyperRing, text: str) -> int:
+    """The hyperideal of ``ring`` that ``--ideal`` names by its
+    comma-separated elements."""
+    elements = [int(t) for t in text.split(",")]
+    outside = [x for x in elements if not 0 <= x < ring.size]
+    if outside:
+        raise ValueError(f"--ideal {text}: elements {outside} "
+                         f"outside 0..{ring.size - 1}")
+    members = mask_of(elements)
+    if not is_hyperideal(ring, members):
+        raise ValueError(f"--ideal {text}: not a hyperideal of {ring.name}")
+    return members
 
 
 def _emit(obj, out: str | None) -> None:
@@ -71,7 +85,7 @@ def _cmd_ideals(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     ring = _load(args.file)
     if args.ideal:
-        masks = [mask_of(int(t) for t in args.ideal.split(","))]
+        masks = [_ideal_arg(ring, args.ideal)]
     else:
         masks = [p.members for p in enumerate_hyperideals(ring)]
     report = {"ring": ring.name, "mode": args.mode, "ideals": []}
@@ -173,8 +187,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if args.kind == "quotient":
         if not args.ideal:
             raise FileFormatError("quotient requires --ideal")
-        members = mask_of(int(t) for t in args.ideal.split(","))
-        out = quotient(ring, members).ring
+        out = quotient(ring, _ideal_arg(ring, args.ideal)).ring
     elif args.kind == "product":
         if not args.other:
             raise FileFormatError("product requires a second file")

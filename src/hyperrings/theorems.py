@@ -67,7 +67,6 @@ from .classifiers import (
     maximal_disjoint_masks,
     maximal_members,
     minimal_primes,
-    r_closure_holds,
     r_witness,
     regular_mask,
 )
@@ -99,7 +98,6 @@ from .ideals import (
     zero_radical,
 )
 
-ENUMERATION_CAP = 16  # carrier size up to which the registry reads ideal families
 GAMMA_CAP = 10  # carrier size up to which T40 builds the fundamental ring
 HOM_SIZE_CAP = 36
 COVER_MAX = 3
@@ -191,17 +189,14 @@ class RingContext:
     """The registry's view of one ring, shared by all registry entries.
 
     Ideal families and the radical of zero come from the library functions
-    that define them, which keep them on the :class:`HyperRing`; so does
-    the law scan that ``r_ok`` reads, for any subset, with no ideal
-    enumeration.  The accessors that read an ideal family (``ideals``,
-    ``_class``, ``rad0`` and ``minimal_primes``) raise :class:`CapExceeded`
-    on a carrier larger than :data:`ENUMERATION_CAP`.  That limit is the
-    registry's own, kept so that its reports do not change; the library
-    enumerates at any size.
+    that define them, which keep them on the :class:`HyperRing`, on a
+    carrier of any size.  ``r_ok`` and ``is_n`` read the r- and n-law of a
+    hyperideal off those cached classes.
     Only registry-specific values are memoised here: the standing gate, the
-    candidate-subset families, colons, ideal products, irredundant covers,
-    factor witnesses, and derived constructions with their contexts, for
-    the whole sweep.  None of them depends on a reading except through the
+    candidate-subset families, colons, ideal products, the ideal covers
+    (listed once per ring) and the irredundant ones of each ideal, factor
+    witnesses, and derived constructions with their contexts, for the whole
+    sweep.  None of them depends on a reading except through the
     axis value in its key, so every reading and every entry shares them.
     """
 
@@ -223,14 +218,8 @@ class RingContext:
     def e(self) -> Optional[int]:
         return self.ring.identity
 
-    def _enumerable(self) -> HyperRing:
-        """The ring, once its carrier is within :data:`ENUMERATION_CAP`."""
-        if self.size > ENUMERATION_CAP:
-            raise CapExceeded("carrier size", self.size, ENUMERATION_CAP)
-        return self.ring
-
     def ideals(self) -> tuple[int, ...]:
-        return hyperideal_masks(self._enumerable())
+        return hyperideal_masks(self.ring)
 
     def proper(self) -> tuple[int, ...]:
         return self._class(CLASS_HYPERIDEAL)
@@ -240,7 +229,7 @@ class RingContext:
                           lambda: generated_ideal_mask(self.ring, ZERO_MASK))
 
     def rad0(self) -> int:
-        return zero_radical(self._enumerable())
+        return zero_radical(self.ring)
 
     def standing_ok(self) -> bool:
         def compute() -> bool:
@@ -252,9 +241,9 @@ class RingContext:
     def standing_blocks(self, rd: Reading) -> bool:
         """Whether ``rd`` requires the standing assumption and the ring
         fails it.  The ring is tested before the reading, so an evaluation
-        on a ring that meets the gate does not read the standing axis; a
-        ring too large to test is gated, by its cap, only under
-        ``required``."""
+        on a ring that meets the gate does not read the standing axis.  A
+        ring whose product family exceeds its cap cannot be tested: it is
+        gated, by that cap, only under ``required``."""
         try:
             ok = self.standing_ok()
         except CapExceeded:
@@ -273,12 +262,14 @@ class RingContext:
         return members in self.n_class()
 
     def r_ok(self, members: int) -> bool:
-        return r_closure_holds(self.ring, members)
+        """The r-law on a hyperideal, read off the cached r-class; the
+        carrier meets it vacuously."""
+        return members == self.ring.carrier_mask or members in self.r_class()
 
     def _class(self, which: str, *mode: str) -> tuple[int, ...]:
         """The family as ``class_members`` caches it; the mode is passed
         only for primes, the one family that depends on it."""
-        return class_members(self._enumerable(), which, *mode)
+        return class_members(self.ring, which, *mode)
 
     def n_class(self) -> tuple[int, ...]:
         return self._class(CLASS_N)
@@ -290,7 +281,7 @@ class RingContext:
         return self._class(CLASS_PRIME, rd.prime_mode)
 
     def minimal_primes(self, rd: Reading) -> tuple[int, ...]:
-        return minimal_primes(self._enumerable(), rd.prime_mode)
+        return minimal_primes(self.ring, rd.prime_mode)
 
     # -- arithmetic ----------------------------------------------------------
     def prod(self, rd: Reading, left: int, right: int) -> int:
@@ -324,25 +315,26 @@ class RingContext:
             return None
         return self._memo(("factor", i_mask, meets), compute)
 
-    def irredundant_covers(self, i_mask: int) -> tuple[tuple[int, ...], ...]:
-        """Tuples of 2..COVER_MAX distinct ideals covering ``i_mask`` with
-        no member removable."""
-        def compute() -> tuple[tuple[int, ...], ...]:
-            covers = []
+    def covers(self) -> tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]:
+        """Each tuple of 2..COVER_MAX distinct ideals as ``(combo, union,
+        rests)``, where ``rests[t]`` is the union of the members other than
+        ``combo[t]``."""
+        def compute():
+            out = []
             for k in range(2, COVER_MAX + 1):
                 for combo in combinations(self.ideals(), k):
-                    if not is_subset(i_mask, union_of(combo)):
-                        continue
-                    redundant = False
-                    for skip in range(k):
-                        rest = union_of(combo[:skip] + combo[skip + 1:])
-                        if is_subset(i_mask, rest):
-                            redundant = True
-                            break
-                    if not redundant:
-                        covers.append(combo)
-            return tuple(covers)
-        return self._memo(("covers", i_mask), compute)
+                    rests = tuple(union_of(combo[:t] + combo[t + 1:])
+                                  for t in range(k))
+                    out.append((combo, union_of(combo), rests))
+            return tuple(out)
+        return self._memo("covers", compute)
+
+    def irredundant_covers(self, i_mask: int) -> tuple[tuple[int, ...], ...]:
+        """The covers of ``i_mask`` with no member removable."""
+        return self._memo(("covers", i_mask), lambda: tuple(
+            combo for combo, union, rests in self.covers()
+            if is_subset(i_mask, union)
+            and not any(is_subset(i_mask, rest) for rest in rests)))
 
     # -- bounded subset families ---------------------------------------------
     def mult_closed_family(self) -> tuple[int, ...]:
@@ -677,8 +669,10 @@ def _annihilator_sums_stay(ctx: RingContext, rd: Reading,
         return NOT_APPLICABLE, {"reason": "ring is not reduced"}
     for p_mask in family():
         for s in _idempotents(ctx, rd):
+            # ann(s) is empty when 0 o s is not {0}, and so is the sum
             total = set_sum(ctx.ring, p_mask, ctx.ann(s))
-            if not is_hyperideal(ctx.ring, total) or not ctx.r_ok(total):
+            if total == 0 or not is_hyperideal(ctx.ring, total) \
+                    or not ctx.r_ok(total):
                 return _ce(**{key: p_mask}, idempotent=s, sum_set=total)
     return HOLDS, None
 
@@ -797,9 +791,8 @@ def _covers_land_in(ctx: RingContext, reg: int,
        "r-ideal.",
        axes=("regular",))
 def _t13(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
-    full = ctx.ring.carrier_mask
     return _covers_land_in(ctx, ctx.reg(rd),
-                           lambda m: m != full and ctx.r_ok(m), "r_member_set")
+                           set(ctx.r_class()).__contains__, "r_member_set")
 
 
 @entry("T14",
@@ -891,11 +884,9 @@ def _t18(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
        "If the zero ideal is primary, the n-ideals and the r-ideals "
        "coincide.")
 def _t19(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
-    # the classes first: is_primary reads the ideal family without the
-    # registry's enumeration cap
-    n_class, r_class = ctx.n_class(), ctx.r_class()
     if not is_primary(ctx.ring, ctx.genzero(), MODE_RELAXED):
         return HOLDS, {"note": "zero ideal not primary; nothing to check"}
+    n_class, r_class = ctx.n_class(), ctx.r_class()
     if n_class != r_class:
         return _ce(n_class=[elements_of(m) for m in n_class],
                    r_class=[elements_of(m) for m in r_class])
@@ -1043,15 +1034,12 @@ def _t31(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     nil_free = {m for m in all_ideals if not m & ctx.ring.nilpotent & ~ZERO_MASK}
     # a cover's candidate n-members do not depend on I: read each cover once
     covers = []
-    for k in range(2, COVER_MAX + 1):
-        for combo in combinations(all_ideals, k):
-            targets = []
-            for t, target in enumerate(combo):
-                others = combo[:t] + combo[t + 1:]
-                if target in n_class and nil_free.issuperset(others):
-                    targets.append((target, union_of(others)))
-            if targets:
-                covers.append((combo, union_of(combo), targets))
+    for combo, union, rests in ctx.covers():
+        targets = [(target, rests[t]) for t, target in enumerate(combo)
+                   if target in n_class
+                   and nil_free.issuperset(combo[:t] + combo[t + 1:])]
+        if targets:
+            covers.append((combo, union, targets))
     for i_mask in all_ideals:
         for combo, union, targets in covers:
             if not is_subset(i_mask, union):

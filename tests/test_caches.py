@@ -203,6 +203,17 @@ class TestLawScans:
             == (mask_of([0]), r0)
         assert ideals.law_witness.cache_info().misses == start + 1
 
+    def test_context_reads_laws_off_the_classes(self, monkeypatch):
+        """Once a context holds its r- and n-class, the law of any
+        hyperideal is a membership test, with no call to the scan."""
+        ring = ordinary_ring(12)
+        ctx = RingContext(ring)
+        ctx.r_class(), ctx.n_class()
+        scans = counting(monkeypatch, classifiers, "law_witness")
+        for members in ideals.hyperideal_masks(ring):
+            ctx.r_ok(members), ctx.is_n(members)
+        assert scans[0] == 0
+
 
 class TestCacheInfo:
     def test_misses_count_computations(self):

@@ -217,3 +217,17 @@ class TestCli:
     def test_construct_quotient_requires_ideal_flag(self, tmp_path, z4):
         path = self.write_ring(tmp_path, z4)
         assert main(["construct", "quotient", str(path)]) == 2
+
+    def test_ideal_flag_is_checked(self, tmp_path, z4, capsys):
+        # classify and construct quotient read --ideal through one parser:
+        # an element outside the carrier or a subset that is not a
+        # hyperideal is a usage error, with no report and no traceback
+        path = str(self.write_ring(tmp_path, z4))
+        for command in (["classify", path], ["construct", "quotient", path]):
+            for ideal, message in (
+                    ("0,9", "--ideal 0,9: elements [9] outside 0..3"),
+                    ("0,4,5", "--ideal 0,4,5: elements [4, 5] outside 0..3"),
+                    ("0,1", "--ideal 0,1: not a hyperideal of Z4")):
+                assert main([*command, "--ideal", ideal]) == 2, (command, ideal)
+                out, err = capsys.readouterr()
+                assert out == "" and err == f"error: {message}\n"

@@ -85,56 +85,59 @@ class TestSingleVerdicts:
         assert v.status == HOLDS
 
     def test_cap_guard_yields_not_applicable(self):
+        # the registry reads the ideals of a carrier of any size; only the
+        # matrix and gamma caps still gate cells, each naming itself
         ring = ordinary_ring(17)
         v = run_theorem(REGISTRY_BY_ID["T04"], ring, explore_readings=False)
-        assert v.status == NOT_APPLICABLE
-        assert "cap" in v.witness["reason"]
+        assert (v.status, v.witness) == (HOLDS, None)
+        for tid, reason in (
+                ("T37", "matrix cap: matrix carrier size 83521 exceeds cap 16"),
+                ("T40", "gamma cap: carrier size 17 exceeds 10")):
+            v = run_theorem(REGISTRY_BY_ID[tid], ring, explore_readings=False)
+            assert (v.status, v.witness) == (NOT_APPLICABLE, {"reason": reason})
 
-    def test_waived_gate_does_not_cap_checkers(self):
-        # the standing gate cannot be tested past the enumeration cap; a
-        # waived reading skips it, so checkers that enumerate no ideals
-        # still run, and each other entry keeps its own reason
-        ring = ordinary_ring(17)
-        only = {"T05", "T07", "T35", "T37", "T39", "T40"}
+    def test_waived_gate_does_not_cap_checkers(self, monkeypatch):
+        # Z17 and Z18 over the whole registry: no cell names a carrier size
+        # cap under either standing reading, and each entry that is not
+        # applicable keeps its own reason
+        for n in (17, 18):
+            ring = ordinary_ring(n)
+            want = {tid: (NOT_APPLICABLE, reason) for tid, reason in (
+                ("T37", f"matrix cap: matrix carrier size {n ** 4} exceeds cap 16"),
+                ("T39", "not a product construction"),
+                ("T40", f"gamma cap: carrier size {n} exceeds 10"))}
+            if n == 18:
+                want.update({tid: (NOT_APPLICABLE, "ring is not reduced")
+                             for tid in ("T08a", "T08b", "T12", "T32")})
+            for standing in READING_AXES["standing"]:
+                verdicts = run_suite([ring],
+                                     reading=Reading(standing=standing)).verdicts
+                assert len(verdicts) == len(REGISTRY)
+                for v in verdicts:
+                    reason = (v.witness or {}).get("reason")
+                    assert (v.status, reason) == want.get(v.theorem, (HOLDS, None)), \
+                        (n, standing, v.theorem)
+
+        # a ring whose standing gate cannot be computed (its product family
+        # exceeds that cap) is gated by the cap under required; a waived
+        # reading skips the gate, so the checkers still run
+        def capped(ring, members):
+            raise CapExceeded("product family size", 4097, 4096)
+
+        monkeypatch.setattr(theorems, "is_C_hyperideal", capped)
+        ring = ordinary_ring(5)
+        only = {"T05", "T07", "T29"}
         waived = {v.theorem: v for v in run_suite(
             [ring], only=only, reading=Reading(standing="waived")).verdicts}
-        for tid in ("T05", "T07", "T35"):
+        required = {v.theorem: v for v in run_suite([ring], only=only).verdicts}
+        for tid in only:
             assert waived[tid].status == HOLDS
             assert waived[tid].reading_results == {
                 "standing=required": NOT_APPLICABLE}
-        for tid, reason in (("T37", "matrix cap"),
-                            ("T39", "not a product construction"),
-                            ("T40", "gamma cap")):
-            assert waived[tid].status == NOT_APPLICABLE
-            assert reason in waived[tid].witness["reason"]
-        required = {v.theorem: v for v in run_suite(
-            [ring], only=only).verdicts}
-        for tid in only:
             assert required[tid].status == NOT_APPLICABLE
-            assert "carrier size cap" in required[tid].witness["reason"]
-            assert required[tid].reading_results == {
-                "standing=waived": waived[tid].status}
-
-        # Z18 over the whole registry: the library enumerates its ideals,
-        # and the registry's own limits still decide every cell
-        z18 = ordinary_ring(18)
-        enumeration = "carrier size cap: carrier size 18 exceeds cap 16"
-        own = {tid: (NOT_APPLICABLE, "ring is not reduced")
-               for tid in ("T08a", "T08b", "T12", "T32")}
-        own.update({tid: (HOLDS, None) for tid in ("T05", "T07", "T34", "T35")})
-        own["T37"] = (NOT_APPLICABLE,
-                      "matrix cap: matrix carrier size 104976 exceeds cap 16")
-        own["T39"] = (NOT_APPLICABLE, "not a product construction")
-        own["T40"] = (NOT_APPLICABLE, "gamma cap: carrier size 18 exceeds 10")
-        for standing in READING_AXES["standing"]:
-            verdicts = run_suite([z18], reading=Reading(standing=standing)).verdicts
-            assert len(verdicts) == len(REGISTRY)
-            for v in verdicts:
-                want = (NOT_APPLICABLE, enumeration)
-                if standing == "waived":
-                    want = own.get(v.theorem, want)
-                assert (v.status, (v.witness or {}).get("reason")) == want, \
-                    (standing, v.theorem)
+            assert required[tid].witness["reason"] == \
+                "product family size cap: product family size 4097 exceeds cap 4096"
+            assert required[tid].reading_results == {"standing=waived": HOLDS}
 
     def test_identityless_ring_not_applicable(self):
         ring = zn_with_products(6, (2, 3))
@@ -236,6 +239,19 @@ class TestCoverMachinery:
                 and not any(is_subset(i, union(c[:t] + c[t + 1:]))
                             for t in range(k)))
 
+    def test_covers_against_definition_on_klein_zero_ring(self):
+        ring = klein_zero_ring()
+        ctx = RingContext(ring)
+        ideals = ctx.ideals()
+        combos = [c for k in (2, 3) for c in combinations(ideals, k)]
+        assert [c for c, _, _ in ctx.covers()] == combos
+        for combo, covered, rests in ctx.covers():
+            assert covered == union(combo)
+            assert rests == tuple(union(combo[:t] + combo[t + 1:])
+                                  for t in range(len(combo)))
+        # listed once per ring and shared by every ideal's filter
+        assert ctx.covers() is ctx.covers()
+
 
 def check_every_reading(ring, tids):
     """``(entry, reading values) -> (status, witness)`` from calling each
@@ -279,6 +295,42 @@ class TestSharedCheckerBodies:
         assert all(result == (reduced if tid.startswith("T08") else (HOLDS, None))
                    for (tid, _), result in results.items())
         assert len(results) == 2 + 4 + 1 + 4 + 1
+
+    def test_empty_annihilator_sum_is_a_counterexample(self):
+        """On a Z4 ring with 0 o 0 = {0, 2}, no annihilator has a member,
+        so a sum with one is empty: a counterexample, not a crash."""
+        add = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+        cells = {(1, 1): [0, 1, 2], (1, 3): [0, 2, 3], (3, 1): [0, 2, 3],
+                 (3, 3): [0, 1, 2]}  # 3 = -1; the sign fixes the 3 cells
+        hmul = [[cells.get((a, b), [0, 2]) for b in range(4)] for a in range(4)]
+        ring = validate_hyperring("Z4:0o0={0,2}", add, hmul)
+        assert [ring.annihilators[x] for x in range(4)] == [0] * 4
+        blocked = (NOT_APPLICABLE, {"reason": "standing assumption violated: "
+                                              "some hyperideal is not a C-hyperideal"})
+        for tid, key, alternates in (
+                ("T08a", "minimal", {"idempotent=strict": HOLDS}),
+                ("T08b", "minimal_prime", {
+                    "idempotent=weak,prime_mode=strict": COUNTEREXAMPLE,
+                    "idempotent=strict,prime_mode=relaxed": HOLDS,
+                    "idempotent=strict,prime_mode=strict": HOLDS})):
+            found = (COUNTEREXAMPLE, {key: [0, 2], "idempotent": 0, "sum": []})
+            default = ",".join(f"{a}={READING_AXES[a][0]}"
+                               for a in REGISTRY_BY_ID[tid].axes)
+            waived = {f"{label},standing=waived": status
+                      for label, status in alternates.items()}
+            required = {f"{label},standing=required": NOT_APPLICABLE
+                        for label in alternates}
+            v = run_theorem(REGISTRY_BY_ID[tid], ring)
+            assert (v.status, v.witness) == blocked
+            assert v.reading_results == {
+                f"{default},standing=waived": COUNTEREXAMPLE,
+                **waived, **required}
+            v = run_theorem(REGISTRY_BY_ID[tid], ring,
+                            reading=Reading(standing="waived"))
+            assert (v.status, v.witness) == found and v.reverified
+            assert v.reading_results == {
+                f"{default},standing=required": NOT_APPLICABLE,
+                **waived, **required}
 
     def test_witness_keys(self, z6):
         """Contexts that refuse every r-law and name a minimal prime push
