@@ -124,6 +124,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_theorems_run(args: argparse.Namespace) -> int:
+    only = None
+    if args.only is not None:
+        only = set(t.strip() for t in args.only.split(",") if t.strip())
+        if not only:
+            raise FileFormatError(f"--only {args.only!r} names no theorem id")
+        unknown = only - set(REGISTRY_BY_ID)
+        if unknown:
+            raise FileFormatError(f"unknown theorem ids: {sorted(unknown)}")
     if args.corpus == "default":
         result = generate_corpus(CorpusSpec())
         rings = result.rings
@@ -135,12 +143,6 @@ def _cmd_theorems_run(args: argparse.Namespace) -> int:
         rings = [load_ring(p) for p in sorted(directory.glob("*.json"))
                  if p.name != "manifest.json"]
         discarded = []
-    only = None
-    if args.only:
-        only = set(t.strip() for t in args.only.split(",") if t.strip())
-        unknown = only - set(REGISTRY_BY_ID)
-        if unknown:
-            raise FileFormatError(f"unknown theorem ids: {sorted(unknown)}")
     reading = Reading()
     if args.reading:
         flags = {}

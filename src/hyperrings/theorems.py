@@ -71,10 +71,6 @@ from .classifiers import (
     regular_mask,
 )
 from .construct import (
-    FundamentalRingImage,
-    GoodHomomorphism,
-    QuotientImage,
-    SubringImage,
     classical_n_ideal,
     enumerate_good_homomorphisms,
     fundamental_ring,
@@ -194,10 +190,11 @@ class RingContext:
     hyperideal off those cached classes.
     Only registry-specific values are memoised here: the standing gate, the
     candidate-subset families, colons, ideal products, the ideal covers
-    (listed once per ring) and the irredundant ones of each ideal, factor
-    witnesses, and derived constructions with their contexts, for the whole
-    sweep.  None of them depends on a reading except through the
+    (listed once per ring) and the irredundant ones of each ideal, and
+    factor witnesses.  None of them depends on a reading except through the
     axis value in its key, so every reading and every entry shares them.
+    Derived rings are built by the checker that reads them, once per
+    evaluation, and are dropped with it.
     """
 
     def __init__(self, ring: HyperRing):
@@ -396,30 +393,6 @@ class RingContext:
             return tuple(sorted(out, key=subset_key))
         return self._memo("colon_subjects", compute)
 
-    # -- constructions --------------------------------------------------------
-    def quotient_image(self, ideal: int) -> tuple[QuotientImage, "RingContext"]:
-        def compute():
-            q = quotient(self.ring, ideal)
-            return q, RingContext(q.ring)
-        return self._memo(("quotient", ideal), compute)
-
-    def subrings(self) -> tuple[tuple[int, SubringImage, "RingContext"], ...]:
-        """Each subhyperring's mask, with its image and context."""
-        def image(t_mask: int) -> tuple[int, SubringImage, RingContext]:
-            sub = subhyperring_restrict(self.ring, t_mask)
-            return t_mask, sub, RingContext(sub.ring)
-        return self._memo("subrings", lambda: tuple(
-            map(image, subhyperring_masks(self.ring))))
-
-    def fundamental(self) -> FundamentalRingImage:
-        return self._memo("fundamental", lambda: fundamental_ring(self.ring))
-
-    def matrix2(self) -> tuple[HyperRing, "RingContext"]:
-        def compute():
-            m2 = matrix_hyperring(self.ring, 2)
-            return m2, RingContext(m2)
-        return self._memo("matrix2", compute)
-
 
 # ---------------------------------------------------------------------------
 # registry entries
@@ -441,12 +414,13 @@ class TheoremEntry:
 
 
 class Suite:
-    """Shared context for a run: the corpus and cross-ring caches."""
+    """Shared context for a run: the corpus, the alternate readings of each
+    entry, and the verdict dicts every cell with the same items shares."""
 
     def __init__(self, contexts: list[RingContext]):
         self.contexts = contexts
-        self._hom_cache: dict[tuple[int, int], list[GoodHomomorphism]] = {}
         self._alternates: dict[tuple, list[tuple[Reading, str]]] = {}
+        self._shared: dict[tuple, dict] = {}
 
     def alternates(self, axes: tuple[str, ...],
                    base: Reading) -> list[tuple[Reading, str]]:
@@ -459,11 +433,13 @@ class Suite:
                                      if rd != base]
         return self._alternates[key]
 
-    def homs(self, src: RingContext, dst: RingContext) -> list[GoodHomomorphism]:
-        key = (id(src.ring), id(dst.ring))
-        if key not in self._hom_cache:
-            self._hom_cache[key] = enumerate_good_homomorphisms(src.ring, dst.ring)
-        return self._hom_cache[key]
+    def shared(self, items: tuple) -> dict:
+        """The one dict of ``items`` for the whole run.  Verdicts hold it,
+        so no reader may change it."""
+        out = self._shared.get(items)
+        if out is None:
+            out = self._shared[items] = dict(items)
+        return out
 
 
 REGISTRY: list[TheoremEntry] = []
@@ -1110,7 +1086,7 @@ def _t35(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
             continue
         if dst.standing_blocks(rd):
             continue
-        for hom in suite.homs(src, dst):
+        for hom in enumerate_good_homomorphisms(src.ring, dst.ring):
             if hom.injective:
                 for i2 in dst.n_class():
                     pre = hom.preimage_mask(i2)
@@ -1139,7 +1115,8 @@ def _t35(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
 def _t36(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     rad = ctx.rad0()
     for j_mask in ctx.proper():
-        q, qctx = ctx.quotient_image(j_mask)
+        q = quotient(ctx.ring, j_mask)
+        qctx = RingContext(q.ring)
         for i_mask in ctx.proper():
             if not is_subset(j_mask, i_mask):
                 continue
@@ -1163,9 +1140,10 @@ def _t36(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
        requires_scalar_identity=True)
 def _t37(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     try:
-        m2, mctx = ctx.matrix2()
+        m2 = matrix_hyperring(ctx.ring, 2)
     except CapExceeded as exc:
         return NOT_APPLICABLE, {"reason": f"matrix cap: {exc}"}
+    mctx = RingContext(m2)
     for i_mask in ctx.proper():
         mat = matrix_ideal_mask(ctx.ring, 2, i_mask)
         if not is_hyperideal(m2, mat):
@@ -1181,7 +1159,9 @@ def _t37(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
 def _t38(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     if not ctx.n_class():
         return HOLDS, None
-    for t_mask, sub, subctx in ctx.subrings():
+    for t_mask in subhyperring_masks(ctx.ring):
+        sub = subhyperring_restrict(ctx.ring, t_mask)
+        subctx = RingContext(sub.ring)
         for i_mask in ctx.n_class():
             if is_subset(t_mask, i_mask):
                 continue
@@ -1224,7 +1204,7 @@ def _t39(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
        "n-ideal of the fundamental ordinary ring.",
        requires_scalar_identity=True, requires_gamma=True)
 def _t40(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
-    fund = ctx.fundamental()
+    fund = fundamental_ring(ctx.ring)
     for i_mask in ctx.proper():
         image = fund.image_mask(i_mask)
         left = ctx.is_n(i_mask)
@@ -1244,6 +1224,10 @@ REGISTRY_BY_ID = {e.tid: e for e in REGISTRY}
 
 @dataclass
 class TheoremVerdict:
+    """One (entry, ring) cell.  Its ``readings``, ``reading_results`` and
+    ``not-applicable`` witness are read-only: a run gives every cell with
+    the same items one dict, and ``to_obj`` passes them on as they are."""
+
     theorem: str
     ring: str
     status: str
@@ -1310,6 +1294,9 @@ def run_theorem(entry_: TheoremEntry, ring: HyperRing,
                 suite: Optional[Suite] = None,
                 context: Optional[RingContext] = None,
                 explore_readings: bool = True) -> TheoremVerdict:
+    """The verdict of ``entry_`` on ``ring`` under ``reading``, with the
+    status of each alternate reading when ``explore_readings``.  The dicts
+    it holds come from ``Suite.shared``, so they are read-only."""
     rd = reading or Reading()
     axes = tuple(entry_.axes) + ("standing",)
     ctx = context or RingContext(ring)
@@ -1323,7 +1310,7 @@ def run_theorem(entry_: TheoremEntry, ring: HyperRing,
         # must reproduce exactly before it is reported
         again_status, again_witness = _evaluate(entry_, ctx, rd, sweep)
         reverified = again_status == status and again_witness == witness
-    reading_results: dict[str, str] = {}
+    reading_results: list[tuple[str, str]] = []
     sensitive = False
     if explore_readings:
         # an evaluation depends on the reading only through the axes it
@@ -1339,21 +1326,23 @@ def run_theorem(entry_: TheoremEntry, ring: HyperRing,
                 recorded = _RecordingReading(combo)
                 alt_status, _ = _evaluate(entry_, ctx, recorded, sweep)
                 evaluated.append((recorded.axes_read(), alt_status))
-            reading_results[label] = alt_status
+            reading_results.append((label, alt_status))
             # sensitive: some non-default reading flips between a decided
             # verdict and a counterexample
             if alt_status == COUNTEREXAMPLE and status != COUNTEREXAMPLE:
                 sensitive = True
             if status == COUNTEREXAMPLE and alt_status == HOLDS:
                 sensitive = True
+    if status == NOT_APPLICABLE:
+        witness = sweep.shared(tuple(witness.items()))
     elapsed = (time.perf_counter() - start) * 1000.0
     return TheoremVerdict(
         theorem=entry_.tid,
         ring=ring.name,
         status=status,
         witness=witness,
-        readings={a: getattr(rd, a) for a in sorted(axes)},
-        reading_results=reading_results,
+        readings=sweep.shared(tuple((a, getattr(rd, a)) for a in sorted(axes))),
+        reading_results=sweep.shared(tuple(reading_results)),
         reading_sensitive=sensitive,
         reverified=reverified,
         wall_ms=elapsed,

@@ -4,6 +4,8 @@ command-line surface."""
 import json
 from importlib import resources
 
+import pytest
+
 from hyperrings.cli import main
 from hyperrings.corpus import (
     CorpusSpec,
@@ -170,6 +172,17 @@ class TestCli:
         self.write_ring(tmp_path, z4)
         assert main(["theorems", "run", "--corpus", str(tmp_path),
                      "--only", "T99"]) == 2
+
+    @pytest.mark.parametrize("only", [",", "", " , "])
+    def test_theorems_only_without_ids(self, tmp_path, z4, capsys, only):
+        """An ``--only`` that names no id is a usage error, not a run of
+        no cells or of the whole registry."""
+        self.write_ring(tmp_path, z4)
+        assert main(["theorems", "run", "--corpus", str(tmp_path),
+                     "--only", only]) == 2
+        captured = capsys.readouterr()
+        assert "names no theorem id" in captured.err
+        assert "holds:" not in captured.out
 
     def test_generate(self, tmp_path, capsys):
         out = tmp_path / "corpus"

@@ -15,11 +15,18 @@ from hyperrings.classifiers import is_n_hyperideal, is_prime, r_closure_holds
 from hyperrings.core import (
     ZERO_MASK,
     CapExceeded,
+    HyperRing,
     HyperRingError,
     validate_hyperring,
 )
 from hyperrings.corpus import ordinary_ring, zn_with_products
-from hyperrings.construct import direct_product, quotient
+from hyperrings.construct import (
+    FundamentalRingImage,
+    QuotientImage,
+    SubringImage,
+    direct_product,
+    quotient,
+)
 from hyperrings.ideals import (
     ann,
     hyperideal_masks,
@@ -546,6 +553,65 @@ class TestReportBytes:
                 tracemalloc.stop()
             assert type(data) is bytes
             assert peak <= 1.5 * len(data), (peak, len(data))
+
+
+class TestVerdictMemory:
+    """What a run keeps: one dict per distinct reading, alternate-status
+    and reason content, and no derived ring past the evaluation that
+    built it."""
+
+    NAMES = ("Z2", "Z4", "Z6", "Z2_A0_1", "Z6_A1_5")
+
+    def rings(self, default_corpus):
+        by_name = {r.name: r for r in default_corpus.rings}
+        return [by_name[n] for n in self.NAMES]
+
+    def test_equal_dicts_are_one_object(self, default_corpus):
+        report = run_suite(self.rings(default_corpus))
+        by_entry: dict[str, set[int]] = {}
+        reasons: dict[str, set[int]] = {}
+        results: dict[tuple, set[int]] = {}
+        for v in report.verdicts:
+            by_entry.setdefault(v.theorem, set()).add(id(v.readings))
+            key = tuple(sorted(v.reading_results.items()))
+            results.setdefault(key, set()).add(id(v.reading_results))
+            if v.status == NOT_APPLICABLE:
+                assert list(v.witness) == ["reason"]
+                reasons.setdefault(v.witness["reason"], set()).add(
+                    id(v.witness))
+        assert len(by_entry) == len(REGISTRY)
+        assert all(len(ids) == 1 for ids in by_entry.values())
+        assert all(len(ids) == 1 for ids in results.values())
+        assert reasons and all(len(ids) == 1 for ids in reasons.values())
+        assert sum(v.status == NOT_APPLICABLE for v in report.verdicts) \
+            > len(reasons)
+
+    def test_context_keeps_no_derived_ring(self, default_corpus):
+        derived = (HyperRing, QuotientImage, SubringImage,
+                   FundamentalRingImage, RingContext)
+
+        def held(value):
+            if isinstance(value, derived):
+                yield value
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    yield from held(item)
+            elif isinstance(value, dict):
+                for item in value.values():
+                    yield from held(item)
+
+        rings = self.rings(default_corpus)
+        contexts = [RingContext(r) for r in rings]
+        suite = theorems.Suite(contexts)
+        built = Counter()
+        for ctx in contexts:
+            for tid in ("T35", "T36", "T37", "T38", "T39", "T40"):
+                verdict = run_theorem(REGISTRY_BY_ID[tid], ctx.ring,
+                                      suite=suite, context=ctx)
+                built[tid] += verdict.status == HOLDS
+            assert list(held(ctx._cache)) == [], ctx.ring.name
+        # each construction ran on some ring
+        assert all(built[tid] for tid in ("T35", "T36", "T37", "T38", "T40"))
 
 
 # Status of each entry on the small corpus, in ring order: h holds,
