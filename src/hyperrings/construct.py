@@ -36,6 +36,7 @@ from .core import (
     CapExceeded,
     HyperRing,
     HyperRingError,
+    _additive_generators,
     _noncommuting_pair,
     build_hyperring,
     cached_on_ring,
@@ -320,33 +321,13 @@ def check_good_homomorphism(mapping: Sequence[int], source: HyperRing,
     return GoodHomomorphism(source=source, target=target, mapping=tuple(mapping))
 
 
-def _additive_generators(ring: HyperRing) -> list[int]:
-    """A small generating set of the additive group, found greedily: the
-    least element outside the span of the generators so far is the next."""
-    add = ring.add
-    gens: list[int] = []
-    span = [0]
-    seen = ZERO_MASK
-    for x in range(ring.size):
-        if seen >> x & 1:
-            continue
-        gens.append(x)
-        for a in span:  # the list grows while it is read: one closure pass
-            for g in gens:
-                b = add[a][g]
-                if not seen >> b & 1:
-                    seen |= 1 << b
-                    span.append(b)
-    return gens
-
-
 @cached_on_ring
 def _hom_plan(source: HyperRing) -> tuple[tuple[int, ...], tuple, tuple]:
     """The source side of the hom search: the greedy generators ``gens``,
     then, by BFS from 0, the tree steps ``(b, a, i)`` that fill
     ``f(b) = f(a) + f(gens[i])`` and the other ``(b, a, i)`` edges, on which
     that equation must be checked."""
-    gens = _additive_generators(source)
+    gens = _additive_generators(source.add)
     steps: list[tuple[int, int, int]] = []
     edges: list[tuple[int, int, int]] = []
     seen = ZERO_MASK

@@ -429,6 +429,43 @@ def _noncommuting_pair(hmul: Sequence[Sequence[int]]) -> Optional[tuple[int, int
                  if hmul[a][b] != hmul[b][a]), None)
 
 
+def _additive_generators(add: Sequence[Sequence[int]]) -> list[int]:
+    """A small generating set of ``(R, +)``, found greedily: the least
+    element outside the span of the generators so far is the next.  The span
+    is the closure of ``{0}`` under ``x -> x + g``, so with 0 an identity of
+    ``add`` it is the whole carrier, associative or not."""
+    gens: list[int] = []
+    span = [0]
+    seen = ZERO_MASK
+    for x in range(len(add)):
+        if seen >> x & 1:
+            continue
+        gens.append(x)
+        for a in span:  # the list grows while it is read: one closure pass
+            for g in gens:
+                b = add[a][g]
+                if not seen >> b & 1:
+                    seen |= 1 << b
+                    span.append(b)
+    return gens
+
+
+def _light_associative(add: Sequence[Sequence[int]]) -> bool:
+    """Light's associativity test on an ``add`` with identity 0: is
+    ``(a + g) + c == a + (g + c)`` for every a, c and every g in
+    :func:`_additive_generators`?  That is n²·|G| lookups; the argument
+    that it decides associativity is in :func:`validate_hyperring`."""
+    n = len(add)
+    for g in _additive_generators(add):
+        grow = add[g]
+        for arow in add:
+            ag = add[arow[g]]
+            for c in range(n):
+                if ag[c] != arow[grow[c]]:
+                    return False
+    return True
+
+
 def build_hyperring(
     name: str,
     add: Sequence[Sequence[int]],
@@ -473,7 +510,21 @@ def validate_hyperring(
     are: add-identity, add-commutative, add-associative, add-inverse,
     hmul-commutative, hmul-associative, distributive, sign-compatible.
     Empty cells raise :class:`EmptyHyperproduct`, shape problems
-    :class:`DimensionMismatch`.
+    :class:`DimensionMismatch`.  A table value is an index when it is an
+    ``int`` (``bool`` excluded, subclasses such as ``IntEnum`` included) in
+    ``0..n-1``; the parse tests ``type(v) is int`` first, so only values of
+    other types pay for the ``isinstance`` checks.
+
+    Additive associativity is first decided by Light's test
+    (:func:`_light_associative`): ``(x + g) + y == x + (g + y)`` for all x, y
+    and each g in a generating set G of the additive table.  The set
+    ``T = {t : (x + t) + y == x + (t + y) for all x, y}`` contains 0, and it
+    is closed under ``+``: for s, t in T,
+    ``(x + (s + t)) + y = ((x + s) + t) + y = (x + s) + (t + y)`` and
+    ``x + ((s + t) + y) = x + (s + (t + y)) = (x + s) + (t + y)``.  So
+    ``G <= T`` gives ``T = R``, because the closure of ``{0}`` under adding
+    elements of G is the carrier.  Only when the test fails does the ordered
+    scan run, so the witness is still that scan's least failing tuple.
 
     The witness of a violated law is its least failing tuple in ``(a, b, c)``
     scan order.  Where the operation is known to be commutative, the
@@ -490,28 +541,35 @@ def validate_hyperring(
     if len(hmul) != n:
         raise DimensionMismatch(f"add is {n}x{n} but hmul has {len(hmul)} rows")
     add_rows: list[tuple[int, ...]] = []
-    for a, row in enumerate(add):
+    for row in add:
         if len(row) != n:
-            raise DimensionMismatch(f"add row {a} has length {len(row)}, expected {n}")
-        for b, v in enumerate(row):
-            if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
+            raise DimensionMismatch(
+                f"add row {len(add_rows)} has length {len(row)}, expected {n}")
+        row = tuple(row)
+        for v in row:
+            if (type(v) is not int and (isinstance(v, bool) or not isinstance(v, int))
+                    or not 0 <= v < n):
+                b = next(b for b, w in enumerate(row) if w is v)
                 raise DimensionMismatch(
-                    f"add[{a}][{b}] = {v!r} is not an index in 0..{n - 1}")
-        add_rows.append(tuple(row))
+                    f"add[{len(add_rows)}][{b}] = {v!r} is not an index in 0..{n - 1}")
+        add_rows.append(row)
     hmul_rows: list[tuple[int, ...]] = []
-    for a, row in enumerate(hmul):
+    for row in hmul:
         if len(row) != n:
-            raise DimensionMismatch(f"hmul row {a} has length {len(row)}, expected {n}")
-        masks = []
-        for b, cell in enumerate(row):
+            raise DimensionMismatch(
+                f"hmul row {len(hmul_rows)} has length {len(row)}, expected {n}")
+        masks: list[int] = []
+        for cell in row:
             m = 0
             for v in cell:
-                if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
+                if (type(v) is not int and (isinstance(v, bool) or not isinstance(v, int))
+                        or not 0 <= v < n):
                     raise DimensionMismatch(
-                        f"hmul[{a}][{b}] contains {v!r}, not an index in 0..{n - 1}")
+                        f"hmul[{len(hmul_rows)}][{len(masks)}] contains {v!r}, "
+                        f"not an index in 0..{n - 1}")
                 m |= 1 << v
             if not m:
-                raise EmptyHyperproduct(a, b)
+                raise EmptyHyperproduct(len(hmul_rows), len(masks))
             masks.append(m)
         hmul_rows.append(tuple(masks))
 
@@ -526,22 +584,20 @@ def validate_hyperring(
         for b in range(a + 1, n):
             if addt[a][b] != addt[b][a]:
                 raise AxiomViolation("add-commutative", (a, b))
-    for a in range(n):
-        arow = addt[a]
-        for b in range(n):
-            ab = addt[arow[b]]
-            brow = addt[b]
-            for c in range(a + 1, n):
-                if ab[c] != arow[brow[c]]:
-                    raise AxiomViolation("add-associative", (a, b, c))
-    neg = [None] * n
-    for a in range(n):
-        for b in range(n):
-            if addt[a][b] == 0:
-                neg[a] = b
-                break
-        if neg[a] is None:
-            raise AxiomViolation("add-inverse", (a,), "no additive inverse")
+    if not _light_associative(addt):  # find the least witness
+        for a in range(n):
+            arow = addt[a]
+            for b in range(n):
+                ab = addt[arow[b]]
+                brow = addt[b]
+                for c in range(a + 1, n):
+                    if ab[c] != arow[brow[c]]:
+                        raise AxiomViolation("add-associative", (a, b, c))
+    neg = []
+    for row in addt:
+        if 0 not in row:
+            raise AxiomViolation("add-inverse", (len(neg),), "no additive inverse")
+        neg.append(row.index(0))
 
     pair = _noncommuting_pair(hmt)
     commutative = pair is None

@@ -1370,11 +1370,14 @@ def _indented(value, pad: str) -> bytes:
 def _verdict_writer(write: Callable[[bytes], object],
                     include_timings: bool) -> Callable[[list], None]:
     """A function that passes a nonempty verdict list to ``write`` as
-    ASCII fragments.  Each field value is rendered once per distinct value
-    over every list it writes; only ``wall_ms`` differs from verdict to
-    verdict."""
+    ASCII fragments.  Each string is rendered once per distinct value and
+    each nested value once per distinct object (a run shares those, see
+    ``Suite.shared``) over every list it writes; only ``wall_ms`` differs
+    from verdict to verdict."""
     strings: dict[str, bytes] = {}
-    nested: dict[str, bytes] = {}  # keyed by the value's compact text
+    # keyed by the value's id; each entry keeps its value, so no id is
+    # reused by another object while the writer lives
+    nested: dict[int, tuple[object, bytes]] = {}
     heads: dict[tuple[str, ...], list[tuple[str, bytes]]] = {}
     first, later = (f"{comma}{_PAD[2]}{{".encode() for comma in "[,")
     close, end = f"{_PAD[2]}}}".encode(), f"{_PAD[1]}]".encode()
@@ -1393,11 +1396,10 @@ def _verdict_writer(write: Callable[[bytes], object],
             return out
         if type(value) is float:
             return _compact(value).encode()
-        key = _compact(value)
-        out = nested.get(key)
-        if out is None:
-            out = nested[key] = _indented(value, _PAD[3])
-        return out
+        entry = nested.get(id(value))
+        if entry is None:
+            entry = nested[id(value)] = (value, _indented(value, _PAD[3]))
+        return entry[1]
 
     def write_verdicts(verdicts: list) -> None:
         opener = first

@@ -6,6 +6,7 @@ Both must agree on every table: the same ring, or the same exception type,
 axiom id and witness."""
 
 import dataclasses
+import enum
 import itertools
 import random
 
@@ -20,7 +21,9 @@ from hyperrings.core import (
     EmptyHyperproduct,
     HyperRing,
     HyperRingError,
+    _additive_generators,
     _detect_identity,
+    _light_associative,
     validate_hyperring,
 )
 
@@ -321,3 +324,85 @@ class TestWitnesses:
             validate_hyperring("bad", add, [[[0], [0, 2]], [[0], [1]]])
         ring = validate_hyperring("z2", add, [[[0], (0, 0)], [[0], iter([1])]])
         assert ring.hmul == ((1, 1), (1, 2))
+
+
+def zero_products(n):
+    return [[[0] for _ in range(n)] for _ in range(n)]
+
+
+def z2_z4_tables():
+    """Z2 x Z4 with (x, y) at 4x + y, and the componentwise product."""
+    def split(a):
+        return divmod(a, 4)
+
+    add = [[(split(a)[0] + split(b)[0]) % 2 * 4 + (split(a)[1] + split(b)[1]) % 4
+            for b in range(8)] for a in range(8)]
+    hmul = [[[split(a)[0] * split(b)[0] * 4 + split(a)[1] * split(b)[1] % 4]
+             for b in range(8)] for a in range(8)]
+    return add, hmul
+
+
+def z2_cubed_tables():
+    """Z2 x Z2 x Z2 as bit vectors: xor, and the componentwise product."""
+    return ([[a ^ b for b in range(8)] for a in range(8)],
+            [[[a & b] for b in range(8)] for a in range(8)])
+
+
+class TestLightsTest:
+    """Additive associativity is first decided on a generating set; the
+    ordered scan that names the witness runs only when that test fails."""
+
+    def test_commutative_loop_that_is_not_a_group(self):
+        # a commutative loop of order 6 (none of order 5 is non-associative)
+        add = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 0, 1],
+               [3, 2, 5, 4, 1, 0], [4, 5, 0, 1, 3, 2], [5, 4, 1, 0, 2, 3]]
+        assert not _light_associative(add)
+        assert_same_outcome(add, zero_products(6), True)
+        with pytest.raises(AxiomViolation) as exc:
+            validate_hyperring("loop", add, zero_products(6))
+        assert (exc.value.axiom, exc.value.witness) == ("add-associative", (2, 2, 4))
+
+    @pytest.mark.parametrize("tables, gens", [(z2_z4_tables, [1, 4]),
+                                              (z2_cubed_tables, [1, 2, 4])])
+    def test_groups_with_several_generators(self, tables, gens):
+        add, hmul = tables()
+        assert _additive_generators(add) == gens
+        assert _light_associative(add)
+        for products in (hmul, zero_products(8)):
+            assert_same_outcome(add, products, True)
+        for a, b in itertools.combinations(range(1, 8), 2):
+            for value in range(8):
+                new = [row[:] for row in add]
+                new[a][b] = new[b][a] = value
+                assert_same_outcome(new, hmul, True)
+
+
+class Label(enum.IntEnum):
+    ZERO = 0
+    ONE = 1
+    TWO = 2
+
+
+class TestParse:
+    def test_int_enum_values_are_indices(self):
+        add = cyclic_add(3)
+        hmul = [[sorted({(x * e * y) % 3 for e in (1, 2)}) for y in range(3)]
+                for x in range(3)]
+        labelled_add = [[Label(v) for v in row] for row in add]
+        labelled_hmul = [[[Label(v) for v in cell] for cell in row] for row in hmul]
+        assert_same_outcome(labelled_add, labelled_hmul, True)
+        ring = validate_hyperring("z3", labelled_add, labelled_hmul)
+        assert ring.hmul == validate_hyperring("z3", add, hmul).hmul
+
+    @pytest.mark.parametrize("bad", [1.0, True, None, -1])
+    def test_values_that_are_not_indices(self, bad):
+        add = cyclic_add(3)
+        hmul = [[[(a * b) % 3] for b in range(3)] for a in range(3)]
+        for a, b in itertools.product(range(3), repeat=2):
+            new = [row[:] for row in add]
+            new[a][b] = bad
+            assert_same_outcome(new, hmul, True)
+            for cell in ([bad], [0, bad], [bad, 0]):
+                new = [row[:] for row in hmul]
+                new[a][b] = cell
+                assert_same_outcome(add, new, True)
