@@ -111,6 +111,11 @@ def quotient(ring: HyperRing, ideal: int, name: Optional[str] = None) -> Quotien
     onto subset products and sums.  Every law of R then passes to R/I as
     its image under p, and the tables go to :func:`build_hyperring`
     unchecked.
+
+    The image of a cell under p depends on the cell alone, so each distinct
+    cell at a pair of representatives is projected once and its image
+    reused.  Only those cells are projected: on a coarse quotient most of
+    the n² cells of R are never read.
     """
     if not is_hyperideal(ring, ideal):
         raise ValueError("quotient requires a hyperideal")
@@ -133,8 +138,21 @@ def quotient(ring: HyperRing, ideal: int, name: Optional[str] = None) -> Quotien
 
     reps = [(m & -m).bit_length() - 1 for m in coset_masks]
     add_q = [[proj[ring.add[x][y]] for y in reps] for x in reps]
-    hmul_q = [[mask_of(proj[t] for t in bits(ring.hmul[x][y])) for y in reps]
-              for x in reps]
+    images: dict[int, int] = {}  # source cell -> its image under p
+    hmul_q = []
+    for x in reps:
+        row = ring.hmul[x]
+        qrow = []
+        for y in reps:
+            cell = row[y]
+            image = images.get(cell)
+            if image is None:
+                image = 0
+                for t in bits(cell):
+                    image |= 1 << proj[t]
+                images[cell] = image
+            qrow.append(image)
+        hmul_q.append(qrow)
     params = ",".join(map(str, elements_of(ideal)))
     out = build_hyperring(
         name or f"{ring.name}/{{{params}}}", add_q, hmul_q,
@@ -303,12 +321,19 @@ class GoodHomomorphism:
 def check_good_homomorphism(mapping: Sequence[int], source: HyperRing,
                             target: HyperRing) -> GoodHomomorphism:
     """Validate that a total map preserves addition exactly and
-    hyperproducts as set images."""
+    hyperproducts as set images.
+
+    A map value is an index by the rule of
+    :func:`~hyperrings.core.validate_hyperring`: an ``int`` (``bool``
+    excluded) in ``0..target.size-1``; any other value raises
+    ``ValueError``."""
     if len(mapping) != source.size:
         raise ValueError("map must be total on the source carrier")
-    for v in mapping:
-        if not 0 <= v < target.size:
-            raise ValueError(f"map value {v} outside the target carrier")
+    n = target.size
+    for x, v in enumerate(mapping):
+        if (type(v) is not int and (isinstance(v, bool) or not isinstance(v, int))
+                or not 0 <= v < n):
+            raise ValueError(f"map value f({x}) = {v!r} is not an index in 0..{n - 1}")
     for x in range(source.size):
         for y in range(source.size):
             if mapping[source.add[x][y]] != target.add[mapping[x]][mapping[y]]:
@@ -347,10 +372,24 @@ def _hom_plan(source: HyperRing) -> tuple[tuple[int, ...], tuple, tuple]:
 @cached_on_ring
 def _hom_cells(source: HyperRing, skip: int, half: bool) -> tuple:
     """The hyperproduct cells ``(x, y, members of x o y)`` the hom search
-    compares: ``x, y >= skip``, and ``x <= y`` when ``half``."""
-    n = source.size
-    return tuple((x, y, bits(source.hmul[x][y])) for x in range(skip, n)
-                 for y in range(x if half else skip, n))
+    compares: ``x, y >= skip``, ``x <= y`` when ``half``, and one cell per
+    sign orbit, ``x <= -x`` and ``y <= -y``.
+
+    The sign prune holds for any target.  The cells are compared only once
+    the edge check has proved f additive, so ``f(-S) = -f(S)`` for every
+    subset S.  Both rings are sign-compatible, so
+    ``f(x o (-y)) = f(-(x o y)) = -f(x o y)`` and
+    ``f(x) o f(-y) = f(x) o (-f(y)) = -(f(x) o f(y))``.  Negation is a
+    bijection on subsets, so the cell ``(x, -y)`` holds exactly when
+    ``(x, y)`` holds, and likewise ``(-x, y)``.  Replacing x by the lesser
+    of x and -x keeps ``x >= skip``, since ``-x = 0`` only for ``x = 0``, and
+    likewise y; then swapping the pair when ``half`` keeps both
+    representatives.  So every cell the two other prunings keep has one
+    here that holds exactly when it does."""
+    neg = source.neg
+    reps = [x for x in range(skip, source.size) if x <= neg[x]]
+    return tuple((x, y, bits(source.hmul[x][y])) for i, x in enumerate(reps)
+                 for y in (reps[i:] if half else reps))
 
 
 def enumerate_good_homomorphisms(source: HyperRing,
@@ -368,6 +407,13 @@ def enumerate_good_homomorphisms(source: HyperRing,
     edges depend on the source alone and are kept on it, and so are the
     cells below, once per choice of the two prunings.
 
+    The zero map is settled in closed form.  ``f = 0`` is additive, and
+    every cell of the source is nonempty, so ``f(x o y) = {0}`` and
+    ``f(x) o f(y) = 0 o 0``: it is a good homomorphism exactly when
+    ``0 o 0 = {0}`` in the target.  It is always the first assignment,
+    because 0 has additive order 1 and so heads every list of choices; that
+    one is taken off and only the rest are scanned.
+
     Only the hyperproduct cells ``f(x o y) = f(x) o f(y)`` that can fail are
     then compared, stopping at the first one that fails:
 
@@ -375,7 +421,10 @@ def enumerate_good_homomorphisms(source: HyperRing,
       equation as ``(x, y)``, so only ``x <= y`` is scanned;
     * when 0 absorbs on both sides in both rings (``0 o r = r o 0 = {0}``),
       row 0 and column 0 read ``{0} = {0}``, because an additive map sends
-      0 to 0, so they are skipped.
+      0 to 0, so they are skipped;
+    * the cells ``(x, -y)`` and ``(-x, y)`` hold exactly when ``(x, y)``
+      does, so one cell per sign orbit is scanned (the proof is in
+      :func:`_hom_cells`).
 
     :func:`check_good_homomorphism` stays the public validator of a single
     map.  The cap counts the raw assignments, ``target.size ** len(gens)``,
@@ -391,10 +440,15 @@ def enumerate_good_homomorphisms(source: HyperRing,
     choices = [[t for t in range(target.size) if sord[g] % tord[t] == 0]
                for g in gens]
     n = source.size
+    found: list[GoodHomomorphism] = []
+    assignments = itertools.product(*choices)
+    next(assignments)  # the zero map
+    if thmul[0][0] == ZERO_MASK:
+        found.append(GoodHomomorphism(source=source, target=target,
+                                      mapping=(0,) * n))
     skip = int(source.absorb[0] == ZERO_MASK and target.absorb[0] == ZERO_MASK)
     cells = _hom_cells(source, skip, source.commutative and target.commutative)
-    found: list[GoodHomomorphism] = []
-    for images in itertools.product(*choices):
+    for images in assignments:
         f = [0] * n
         for b, a, i in steps:
             f[b] = tadd[f[a]][images[i]]
@@ -466,21 +520,35 @@ def subhyperring_restrict(ring: HyperRing, subset: int,
 
 
 def subhyperring_masks(ring: HyperRing) -> list[int]:
-    """All subsets closed under subtraction and the hyperoperation."""
-    def close(seed: int) -> int:
-        m = seed
-        while True:
-            grown = m
-            for a in bits(m):
+    """All subsets closed under subtraction and the hyperoperation.
+
+    Each is reached by closing a closed set grown by one element, and the
+    closure runs semi-naively: when a closed m grows by new elements, a pair
+    of elements of m already has ``a - b`` and ``a o b`` in m, so only pairs
+    that contain a new element can add members.  Each round takes every new
+    a and every b of the set, adds ``a - b``, ``b - a``, ``a o b`` and
+    ``b o a``, and the members not yet in the set are the next round's new
+    elements; the set is closed when a round adds none.
+    """
+    sub, hmul = ring.sub, ring.hmul
+
+    def close(m: int, new: int) -> int:
+        """The least closed superset of ``m | new``, for a closed m."""
+        new &= ~m
+        m |= new
+        while new:
+            grown = 0
+            for a in bits(new):
+                sub_a, hmul_a = sub[a], hmul[a]
                 for b in bits(m):
-                    grown |= singleton(ring.sub[a][b])
-                    grown |= ring.hmul[a][b]
-            if grown == m:
-                return m
-            m = grown
+                    grown |= (1 << sub_a[b] | 1 << sub[b][a]
+                              | hmul_a[b] | hmul[b][a])
+            new = grown & ~m
+            m |= new
+        return m
 
     found: set[int] = set()
-    work = [close(singleton(a)) for a in range(ring.size)]
+    work = [close(0, singleton(a)) for a in range(ring.size)]
     while work:
         m = work.pop()
         if m in found:
@@ -490,7 +558,7 @@ def subhyperring_masks(ring: HyperRing) -> list[int]:
             continue
         for x in range(ring.size):
             if not m & singleton(x):
-                work.append(close(m | singleton(x)))
+                work.append(close(m, singleton(x)))
     return sorted(found, key=lambda m: (m.bit_count(), m))
 
 

@@ -382,22 +382,20 @@ def classify_ring(ring: HyperRing) -> RingFlags:
 
 def _detect_identity(size: int,
                      hmul: Sequence[Sequence[int]]) -> tuple[Optional[int], bool]:
-    """Find an identity: prefer a scalar identity, then the least index."""
-    scalar = None
-    plain = None
+    """Find an identity: prefer a scalar identity, then the least index.
+
+    A scalar identity is returned as soon as it is found, since the
+    preference means no plain identity could replace it; only a ring
+    without one runs the plain-identity scan."""
     for e in range(size):
         if all(hmul[a][e] == singleton(a) and hmul[e][a] == singleton(a)
                for a in range(size)):
-            scalar = e
-            break
+            return e, True
     for e in range(size):
         if all(hmul[a][e] & singleton(a) and hmul[e][a] & singleton(a)
                for a in range(size)):
-            plain = e
-            break
-    if scalar is not None:
-        return scalar, True
-    return plain, False
+            return e, False
+    return None, False
 
 
 class _Memo(dict):

@@ -268,6 +268,12 @@ class TestGoodHomomorphisms:
         hom = check_good_homomorphism([0, 0, 0, 0], z4, z4)
         assert hom.kernel == z4.carrier_mask
 
+    @pytest.mark.parametrize("value", [True, 1.0, None])
+    def test_map_values_must_be_indices(self, z2, value):
+        # the index rule of validate_hyperring: an int, and not a bool
+        with pytest.raises(ValueError, match=r"f\(1\) = .* is not an index in 0\.\.1"):
+            check_good_homomorphism([0, value], z2, z2)
+
     def test_not_additive(self, z4):
         with pytest.raises(NotAdditive):
             check_good_homomorphism([0, 1, 1, 1], z4, z4)
@@ -374,6 +380,17 @@ class TestHomEnumerationOracle:
             got = [h.mapping for h in enumerate_good_homomorphisms(source, target)]
             assert got == brute_force_homs(source, target), (source.name, target.name)
 
+    def test_zero_map_exactly_when_zero_squares_to_zero(self, small_corpus):
+        # f = 0 maps every cell to {0} and sends f(x) o f(y) to 0 o 0; pairs
+        # into the 10 rings with 0 o 0 != {0} pin the outcome where it fails
+        pairs = [(s, t) for s in small_corpus for t in small_corpus]
+        without = [(s, t) for s, t in pairs if t.hmul[0][0] != ZERO_MASK]
+        assert len(pairs) == 29 * 29 and len(without) == 290
+        for source, target in pairs:
+            maps = [h.mapping for h in enumerate_good_homomorphisms(source, target)]
+            assert ((0,) * source.size in maps) == (target.hmul[0][0] == ZERO_MASK), \
+                (source.name, target.name)
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_relabelling_conjugates_the_homs(self, default_corpus, data):
@@ -416,6 +433,27 @@ class TestSubrings:
     def test_enumeration(self, z4):
         assert subhyperring_masks(z4) == [mask_of([0]), mask_of([0, 2]),
                                           z4.carrier_mask]
+
+    def test_enumeration_matches_brute_force(self, default_corpus, small_corpus):
+        left, both = klein_ring("left", lambda x, y: x >= 2), \
+            klein_ring("both", lambda x, y: x >= 2 and y >= 2)
+        rings = [*small_corpus, left, both,
+                 *(r for r in default_corpus.rings if r.size <= 10)]
+        assert len(rings) == 29 + 2 + 60
+        for ring in rings:
+            assert subhyperring_masks(ring) == brute_force_subrings(ring), ring.name
+
+
+def brute_force_subrings(ring: HyperRing) -> list[int]:
+    """Every nonempty subset closed under ``a - b`` and ``a o b``, in the
+    order of :func:`subhyperring_masks`."""
+    found = []
+    for m in range(1, 1 << ring.size):
+        members = elements_of(m)
+        if all(m >> ring.sub[a][b] & 1 and is_subset(ring.hmul[a][b], m)
+               for a in members for b in members):
+            found.append(m)
+    return sorted(found, key=lambda m: (m.bit_count(), m))
 
 
 class TestFundamentalRing:
