@@ -179,7 +179,8 @@ def _cmd_theorems_run(args: argparse.Namespace) -> int:
         print(f"reading-sensitive {v.theorem} on {v.ring}: "
               f"default={v.status} alternates={alts}")
     if args.json:
-        Path(args.json).write_bytes(report.to_json_bytes(args.timings))
+        with open(args.json, "wb") as fp:
+            report.write_json(fp, args.timings)
         print(f"report written to {args.json}")
     return report.exit_status()
 

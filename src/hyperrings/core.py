@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, wraps
+from operator import and_, or_
 from typing import Callable, Iterable, Optional, Sequence
 
 from .bitsets import bits, full_mask, mask_of, singleton
@@ -380,22 +381,44 @@ def classify_ring(ring: HyperRing) -> RingFlags:
     return ring.flags
 
 
-def _detect_identity(size: int,
-                     hmul: Sequence[Sequence[int]]) -> tuple[Optional[int], bool]:
+def _singletons(size: int) -> tuple[int, ...]:
+    """The row of a scalar identity: the mask of ``{a}`` at each a."""
+    return tuple(1 << a for a in range(size))
+
+
+def _scalar_identity(hmul: tuple[tuple[int, ...], ...],
+                     cols: tuple[tuple[int, ...], ...]) -> Optional[int]:
+    """The e whose row and column are both the row of singletons, or None;
+    there is at most one, since ``{e} = e o e' = {e'}`` for two."""
+    singles = _singletons(len(hmul))
+    if singles not in hmul:
+        return None
+    return next((e for e, row in enumerate(hmul)
+                 if row == singles and cols[e] == singles), None)
+
+
+def _plain_identity(hmul: tuple[tuple[int, ...], ...],
+                    cols: tuple[tuple[int, ...], ...]) -> Optional[int]:
+    """The least e with ``a in a o e`` and ``a in e o a`` for every a: its
+    row and column meet the row of singletons in every place."""
+    singles = _singletons(len(hmul))
+    return next((e for e, row in enumerate(hmul)
+                 if all(map(and_, row, singles)) and all(map(and_, cols[e], singles))),
+                None)
+
+
+def _detect_identity(hmul: Sequence[Sequence[int]]) -> tuple[Optional[int], bool]:
     """Find an identity: prefer a scalar identity, then the least index.
 
-    A scalar identity is returned as soon as it is found, since the
-    preference means no plain identity could replace it; only a ring
-    without one runs the plain-identity scan."""
-    for e in range(size):
-        if all(hmul[a][e] == singleton(a) and hmul[e][a] == singleton(a)
-               for a in range(size)):
-            return e, True
-    for e in range(size):
-        if all(hmul[a][e] & singleton(a) and hmul[e][a] & singleton(a)
-               for a in range(size)):
-            return e, False
-    return None, False
+    The scalar identity is read by comparing whole rows and columns with
+    the row of singletons; only a ring without one runs the plain-identity
+    scan, since the preference means no plain identity could replace it."""
+    rows = tuple(map(tuple, hmul))
+    cols = tuple(zip(*rows))
+    scalar = _scalar_identity(rows, cols)
+    if scalar is not None:
+        return scalar, True
+    return _plain_identity(rows, cols), False
 
 
 class _Memo(dict):
@@ -421,10 +444,16 @@ def _unions(cells: Sequence[int]) -> _Memo:
 
 
 def _noncommuting_pair(hmul: Sequence[Sequence[int]]) -> Optional[tuple[int, int]]:
-    """The least pair ``a < b`` with ``a o b != b o a``, or None."""
-    n = len(hmul)
-    return next(((a, b) for a in range(n) for b in range(a + 1, n)
-                 if hmul[a][b] != hmul[b][a]), None)
+    """The least pair ``a < b`` with ``a o b != b o a``, or None.
+
+    The table is first compared with its transpose in one comparison; the
+    pair is looked for only when they differ."""
+    rows = tuple(map(tuple, hmul))
+    if rows == tuple(zip(*rows)):
+        return None
+    n = len(rows)
+    return next((a, b) for a in range(n) for b in range(a + 1, n)
+                if rows[a][b] != rows[b][a])
 
 
 def _additive_generators(add: Sequence[Sequence[int]]) -> list[int]:
@@ -464,6 +493,18 @@ def _light_associative(add: Sequence[Sequence[int]]) -> bool:
     return True
 
 
+def _make_ring(name: str, addt: tuple[tuple[int, ...], ...],
+               hmt: tuple[tuple[int, ...], ...], provenance: Optional[dict],
+               identity: Optional[int], scalar: bool,
+               commutative: bool) -> HyperRing:
+    prov = None
+    if provenance:
+        prov = tuple(sorted((str(k), str(v)) for k, v in provenance.items()))
+    return HyperRing(name=name, size=len(hmt), add=addt, hmul=hmt,
+                     identity=identity, scalar_identity=scalar,
+                     commutative=commutative, provenance=prov)
+
+
 def build_hyperring(
     name: str,
     add: Sequence[Sequence[int]],
@@ -472,26 +513,40 @@ def build_hyperring(
 ) -> HyperRing:
     """The :class:`HyperRing` of tables already known to satisfy every law.
 
-    ``hmul`` holds masks.  Commutativity is read off the tables, and the
-    identity is found by :func:`_detect_identity`.  Raw tables go through
-    :func:`validate_hyperring`, which ends here; a construction that proves
-    its output a hyperring calls this directly.
+    ``hmul`` holds masks.  Commutativity is read off the tables
+    (:func:`_noncommuting_pair`), and the identity is found by
+    :func:`_detect_identity`.  A construction that proves its output a
+    hyperring (quotient, product, subring, γ*) calls this directly; raw
+    tables go through :func:`validate_hyperring`, which builds its ring from
+    what it proved instead of scanning the tables again.
     """
-    prov = None
-    if provenance:
-        prov = tuple(sorted((str(k), str(v)) for k, v in provenance.items()))
     hmt = tuple(map(tuple, hmul))
-    identity, scalar = _detect_identity(len(hmt), hmt)
-    return HyperRing(
-        name=name,
-        size=len(hmt),
-        add=tuple(map(tuple, add)),
-        hmul=hmt,
-        identity=identity,
-        scalar_identity=scalar,
-        commutative=_noncommuting_pair(hmt) is None,
-        provenance=prov,
-    )
+    identity, scalar = _detect_identity(hmt)
+    return _make_ring(name, tuple(map(tuple, add)), hmt, provenance,
+                      identity, scalar, _noncommuting_pair(hmt) is None)
+
+
+def _sign_law_holds(hmt: tuple[tuple[int, ...], ...], neg: Sequence[int],
+                    commutative: bool) -> bool:
+    """Does ``a o (-b) = (-a) o b = -(a o b)`` hold everywhere?
+
+    Row ``-a`` is compared whole with row a negated, and on a
+    non-commutative table also row a read at ``-b`` for each b; the first
+    mismatch ends the check.  Only rows ``a <= -a`` are read: negation is
+    an involution on masks, so row ``-a`` passes the first comparison
+    exactly when row a does, and given that, row ``-a`` read at ``-b`` is
+    ``-(a o (-b))``, so it passes the second exactly when row a does.  On a
+    commutative table the first comparison is enough: if every row passes
+    it, ``a o (-b) = (-b) o a = -(b o a) = -(a o b)``."""
+    negate = _unions([1 << y for y in neg])  # negate[m] is -m
+    for a, row in enumerate(hmt):
+        if a > neg[a]:
+            continue
+        negrow = tuple(map(negate.__getitem__, row))
+        if hmt[neg[a]] != negrow or (not commutative
+                                     and tuple(map(row.__getitem__, neg)) != negrow):
+            return False
+    return True
 
 
 def validate_hyperring(
@@ -513,6 +568,35 @@ def validate_hyperring(
     ``0..n-1``; the parse tests ``type(v) is int`` first, so only values of
     other types pay for the ``isinstance`` checks.
 
+    The witness of a violated law is its least failing tuple in ``(a, b, c)``
+    scan order.  The scans visit only tuples that can be that least tuple:
+
+    * Associativity, where the operation is commutative: write ``P_z`` for
+      ``(x o y) o z`` with ``{x, y, z}`` the triple's multiset.  Then
+      ``(a o b) o c = P_c``, and ``a o (b o c) = (b o c) o a = P_a``, so
+      ``(a, b, c)`` fails exactly when ``P_a != P_c``.  On a multiset with
+      least member x whose P values are not all equal, ``P_x`` differs from
+      one of the other two, so the least failing arrangement starts with x;
+      and ``(a, b, a)`` never fails.  So the scans take ``b >= a`` and
+      ``c > a``.
+    * Associativity holds at every triple containing 0 for ``+`` (0 is its
+      identity), or containing an absorbing 0 (``0 o x = x o 0 = {0}``) or
+      the scalar identity e (``e o x = x o e = {x}``) for ``o``: both sides
+      reduce to the same set.  Two elements with the same ``o``-row and
+      ``o``-column give the same sides wherever one replaces the other, so
+      the least witness holds only the least of each such class: replacing
+      any other member by it gives a smaller failing triple.
+    * Distributivity, ``a o (b + c) <= a o b + a o c`` (and on a
+      non-commutative ``o`` also ``(b + c) o a <= b o a + c o a``, reported
+      as ``(b, c, a)``) is symmetric in b and c, so its scan takes
+      ``c >= b``.  Both laws hold for every b and c at an a that is an
+      absorbing 0 or the scalar identity, and read a only through its row
+      and column, so a is scanned as for associativity.  At ``b = 0`` they
+      read ``a o c <= a o 0 + a o c``, which holds for every c when 0
+      absorbs, and may fail when it does not: on Z2 with ``0 o 1 = {1}``,
+      0 is the scalar identity and ``(1, 0, 0)`` fails.  So ``b = 0`` is
+      skipped only when 0 absorbs.
+
     Additive associativity is first decided by Light's test
     (:func:`_light_associative`): ``(x + g) + y == x + (g + y)`` for all x, y
     and each g in a generating set G of the additive table.  The set
@@ -522,16 +606,31 @@ def validate_hyperring(
     ``x + ((s + t) + y) = x + (s + (t + y)) = (x + s) + (t + y)``.  So
     ``G <= T`` gives ``T = R``, because the closure of ``{0}`` under adding
     elements of G is the carrier.  Only when the test fails does the ordered
-    scan run, so the witness is still that scan's least failing tuple.
+    scan run, to name the witness.
 
-    The witness of a violated law is its least failing tuple in ``(a, b, c)``
-    scan order.  Where the operation is known to be commutative, the
-    associativity scans skip ``c <= a`` and the distributivity scan skips
-    ``c < b``: ``(a, b, c)`` fails exactly when ``(c, b, a)`` (for
-    distributivity ``(a, c, b)``) fails, and ``(a, b, a)`` never fails, so
-    the least failing tuple is never skipped.  Subset products and sums are
-    computed once per distinct operand mask.  Once every law passes, the
-    tables go to :func:`build_hyperring`.
+    When some element is not its own negative, a silent pass decides the
+    sign law (:func:`_sign_law_holds`), stopping at the first mismatch;
+    its witness is looked for only after distributivity, so the order of
+    the axioms stands.  Where the law holds, the ``o`` laws are scanned on
+    sign-orbit representatives alone, and the scans still name the least
+    witness:
+
+    * negating any one of a, b, c negates both sides of associativity, as
+      ``(-a) o b = a o (-b) = -(a o b)`` and ``(-m) o c = -(m o c)`` for a
+      subset m, so it keeps a triple failing or passing.  A failing triple
+      with a member ``x > -x`` becomes a smaller failing triple when x is
+      replaced by ``-x``, so each member of the least witness has
+      ``x <= -x``, and the scan takes only those, in the same order and
+      with the same prunes;
+    * negating a, or b and c together, negates every side of both
+      distributivity laws, since ``-(p + q) = (-p) + (-q)`` in an abelian
+      group.  So the least witness has ``a <= -a``, and its ``(b, c)`` is
+      the least of ``(b, c)``, ``(c, b)``, ``(-b, -c)`` and ``(-c, -b)``.
+
+    Subset products and sums are computed once per distinct operand mask.
+    The ring is built from what the checks proved: the commutativity, and
+    the scalar identity found for the prunes; only a ring without one runs
+    the plain-identity scan (:func:`_plain_identity`).
     """
     n = len(add)
     if n < 1:
@@ -583,9 +682,9 @@ def validate_hyperring(
             if addt[a][b] != addt[b][a]:
                 raise AxiomViolation("add-commutative", (a, b))
     if not _light_associative(addt):  # find the least witness
-        for a in range(n):
+        for a in range(1, n):
             arow = addt[a]
-            for b in range(n):
+            for b in range(a, n):
                 ab = addt[arow[b]]
                 brow = addt[b]
                 for c in range(a + 1, n):
@@ -597,55 +696,96 @@ def validate_hyperring(
             raise AxiomViolation("add-inverse", (len(neg),), "no additive inverse")
         neg.append(row.index(0))
 
-    pair = _noncommuting_pair(hmt)
-    commutative = pair is None
+    cols = tuple(zip(*hmt))
+    commutative = hmt == cols
     if require_commutative and not commutative:
-        raise AxiomViolation("hmul-commutative", pair)
+        raise AxiomViolation("hmul-commutative", _noncommuting_pair(hmt))
+
+    # The elements a least witness can hold, and their sign representatives.
+    scalar = _scalar_identity(hmt, cols)
+    zeros = (ZERO_MASK,) * n
+    absorbing = hmt[0] == zeros and cols[0] == zeros
+    keys = hmt if commutative else tuple(zip(hmt, cols))
+    scan = list(range(n))
+    if len(set(keys)) < n:  # keep the least of each class
+        least: dict[tuple, int] = {}
+        scan = [x for x, key in enumerate(keys) if least.setdefault(key, x) == x]
+    scan = [x for x in scan if x != scalar and not (absorbing and x == 0)]
+    # Where negation moves no element, -m = m for every mask and the sign
+    # law holds; else it is checked silently here, and its witness is
+    # looked for last.  Where it holds and negation moves some element,
+    # the o laws are scanned on one representative per sign orbit.
+    moves = any(x != y for x, y in enumerate(neg))
+    sign_holds = not moves or _sign_law_holds(hmt, neg, commutative)
+    orbits = moves and sign_holds
+    if orbits:
+        scan = [x for x in scan if x <= neg[x]]
 
     # Associativity at subset level: (a o b) o c == a o (b o c), where
     # right[x][m] is x o m and left[c][m] is m o c.
     right = [_unions(row) for row in hmt]
-    cols = hmt if commutative else tuple(zip(*hmt))
     left = right if commutative else [_unions(col) for col in cols]
-    for a in range(n):
+
+    for i, a in enumerate(scan):
         arow = hmt[a]
         right_a = right[a]
-        for b in range(n):
+        later = scan[i + 1:] if commutative else scan
+        for b in scan[i:] if commutative else scan:
             ab = arow[b]
             brow = hmt[b]
-            for c in range(a + 1 if commutative else 0, n):
+            for c in later:
                 if left[c][ab] != right_a[brow[c]]:
                     raise AxiomViolation("hmul-associative", (a, b, c))
 
     # Weak distributivity: a o (b+c) is contained in a o b + a o c, and on a
     # non-commutative o also (b+c) o a in b o a + c o a.
+    singles = _singletons(n)
+    shifts = _Memo(lambda x: tuple(map(singles.__getitem__, addt[x])))
+
     def sums_with(p: int) -> _Memo:
-        # p + q is the union over y in q of the translates p + y
+        # p + q is the union over y in q of the translates p + y, and the
+        # translates of p are those of its elements, joined place by place
         xs = bits(p)
-        return _unions([mask_of(addt[x][y] for x in xs) for y in range(n)])
+        translates = shifts[xs[0]]
+        for x in xs[1:]:
+            translates = tuple(map(or_, translates, shifts[x]))
+        return _unions(translates)
 
     sums = _Memo(sums_with)  # sums[p][q] is the set sum p + q
-    for a in range(n):
+
+    bs = range(1 if absorbing else 0, n)
+    if orbits:
+        # the least {b, c} of each {{b, c}, {-b, -c}}: for b <= c that is
+        # b <= -b and -c >= b, with c <= -c too when b = -b
+        pairs = [(b, [c for c in range(b, n)
+                      if neg[c] >= b and (b < neg[b] or c <= neg[c])])
+                 for b in bs if b <= neg[b]]
+    else:
+        pairs = [(b, range(b, n)) for b in bs]
+    for a in scan:
         arow = hmt[a]
         acol = cols[a]
-        for b in range(n):
+        for b, cs in pairs:
             brow = addt[b]
             sums_ab = sums[arow[b]]
             sums_ba = sums[acol[b]]
-            for c in range(b, n):
+            for c in cs:
                 if arow[brow[c]] & ~sums_ab[arow[c]]:
                     raise AxiomViolation("distributive", (a, b, c))
                 if not commutative and acol[brow[c]] & ~sums_ba[acol[c]]:
                     raise AxiomViolation("distributive", (b, c, a))
 
-    # Sign compatibility: a o (-b) = (-a) o b = -(a o b).
-    for a in range(n):
-        for b in range(n):
-            prod = hmt[a][b]
-            negprod = 0
-            for x in bits(prod):
-                negprod |= 1 << neg[x]
-            if hmt[a][neg[b]] != negprod or hmt[neg[a]][b] != negprod:
-                raise AxiomViolation("sign-compatible", (a, b))
-
-    return build_hyperring(name, addt, hmt, provenance)
+    # Sign compatibility, a o (-b) = (-a) o b = -(a o b): the least witness
+    # where the silent check found a mismatch.
+    if not sign_holds:
+        for a in range(n):
+            for b in range(n):
+                prod = hmt[a][b]
+                negprod = 0
+                for x in bits(prod):
+                    negprod |= 1 << neg[x]
+                if hmt[a][neg[b]] != negprod or hmt[neg[a]][b] != negprod:
+                    raise AxiomViolation("sign-compatible", (a, b))
+    identity = scalar if scalar is not None else _plain_identity(hmt, cols)
+    return _make_ring(name, addt, hmt, provenance, identity, scalar is not None,
+                      commutative)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from io import BytesIO
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Optional
+from typing import BinaryIO, Callable, Optional
 
 from .bitsets import bits, elements_of, is_subset, singleton, subset_key, union_of
 from .core import (
@@ -1462,17 +1462,16 @@ class SuiteReport:
             obj[key] = [v.to_obj(include_timings) for v in obj[key]]
         return obj
 
-    def to_json_bytes(self, include_timings: bool = False) -> bytes:
-        """The report in its canonical form: exactly the bytes of
-        ``json.dumps(self.to_obj(include_timings), indent=2, sort_keys=True,
-        ensure_ascii=True) + "\\n"``, so ASCII, sorted keys, two-space
-        indent and one trailing LF.
+    def write_json(self, fp: BinaryIO, include_timings: bool = False) -> None:
+        """Write the report in its canonical form to the binary file ``fp``:
+        exactly the bytes of ``json.dumps(self.to_obj(include_timings),
+        indent=2, sort_keys=True, ensure_ascii=True) + "\\n"``, so ASCII,
+        sorted keys, two-space indent and one trailing LF.
 
         The bytes are written without that object, as ASCII fragments
-        straight into one buffer, with no joined or encoded copy: each
-        verdict at its fixed depth, each distinct nested value rendered once."""
-        out = BytesIO()
-        write = out.write
+        straight into ``fp``, with no joined or encoded copy: each verdict
+        at its fixed depth, each distinct nested value rendered once."""
+        write = fp.write
         write_verdicts = _verdict_writer(write, include_timings)
         write(b"{")
         for i, (key, value) in enumerate(sorted(self._fields().items())):
@@ -1483,6 +1482,11 @@ class SuiteReport:
             else:
                 write(_indented(value, _PAD[1]))
         write(b"\n}\n")
+
+    def to_json_bytes(self, include_timings: bool = False) -> bytes:
+        """The bytes :meth:`write_json` writes, from one buffer."""
+        out = BytesIO()
+        self.write_json(out, include_timings)
         return out.getvalue()
 
     def exit_status(self) -> int:

@@ -17,6 +17,7 @@ from hyperrings.corpus import (
     total_hyperop_ring,
 )
 from hyperrings.io import load_ring, ring_to_json_bytes, save_ring
+from hyperrings.theorems import SuiteReport
 
 
 class TestCorpusGeneration:
@@ -151,6 +152,28 @@ class TestCli:
         report = json.loads(out_json.read_text())
         assert report["summary"]["counterexample"] == 0
         assert {v["theorem"] for v in report["verdicts"]} == {"T18", "T20"}
+
+    @pytest.mark.parametrize("timings", [False, True])
+    def test_theorems_run_streams_the_report_bytes(self, tmp_path, timings,
+                                                  monkeypatch, capsys):
+        """``--json`` writes through the open file; the file holds exactly
+        the bytes ``to_json_bytes`` gives for the same report."""
+        written = []
+        write_json = SuiteReport.write_json
+
+        def spy(report, fp, include_timings=False):
+            written.append((report, include_timings))
+            write_json(report, fp, include_timings)
+
+        monkeypatch.setattr(SuiteReport, "write_json", spy)
+        out_json = tmp_path / "report.json"
+        argv = ["theorems", "run", "--only", "T18,T35", "--json", str(out_json)]
+        assert main(argv + ["--timings"] * timings) == 0
+        [(report, include_timings)] = written
+        assert include_timings == timings
+        data = out_json.read_bytes()
+        assert data == report.to_json_bytes(timings)
+        assert ('"wall_ms"' in data.decode()) == timings
 
     def test_theorems_run_default_corpus_filtered(self, capsys):
         assert main(["theorems", "run", "--only", "T18,T20",

@@ -22,7 +22,6 @@ from hyperrings.core import (
     HyperRing,
     HyperRingError,
     _additive_generators,
-    _detect_identity,
     _light_associative,
     validate_hyperring,
 )
@@ -141,7 +140,16 @@ def reference_validate(name, add, hmul, *, require_commutative=True):
             if hmt[a][neg[b]] != negprod or hmt[neg[a]][b] != negprod:
                 raise AxiomViolation("sign-compatible", (a, b))
 
-    identity, scalar = _detect_identity(n, hmt)
+    # an identity: a scalar one if there is one, else the least plain one
+    def identity_of(law):
+        return next((e for e in range(n)
+                     if all(law(hmt[a][e], a) and law(hmt[e][a], a) for a in range(n))),
+                    None)
+
+    identity = identity_of(lambda cell, a: cell == 1 << a)
+    scalar = identity is not None
+    if not scalar:
+        identity = identity_of(lambda cell, a: cell >> a & 1)
     return HyperRing(name=name, size=n, add=addt, hmul=hmt, identity=identity,
                      scalar_identity=scalar, commutative=commutative)
 
@@ -170,24 +178,48 @@ def cyclic_add(n):
     return [[(a + b) % n for b in range(n)] for a in range(n)]
 
 
-def row_matrix_tables(a_set):
-    """Matrices [[x, y], [0, 0]] over Z2, a non-commutative ring of order 4
-    ((x, y)(u, v) = (xu, xv)), with ``p o q = {p e q : e in a_set}``."""
-    elems = list(itertools.product(range(2), repeat=2))
+def row_matrix_tables(a_set, q=2):
+    """Matrices [[x, y], [0, 0]] over Z_q, a non-commutative ring of order
+    q² ((x, y)(u, v) = (xu, xv)), with ``p o q = {p e q : e in a_set}``."""
+    elems = list(itertools.product(range(q), repeat=2))
     index = {e: i for i, e in enumerate(elems)}
 
-    def mul(p, q):
-        return (p[0] * q[0] % 2, p[0] * q[1] % 2)
+    def mul(p, r):
+        return (p[0] * r[0] % q, p[0] * r[1] % q)
 
-    add = [[index[((p[0] + q[0]) % 2, (p[1] + q[1]) % 2)] for q in elems]
+    add = [[index[((p[0] + r[0]) % q, (p[1] + r[1]) % q)] for r in elems]
            for p in elems]
     hmul = [[sorted({index[mul(mul(p, e), q)] for e in a_set}) for q in elems]
             for p in elems]
     return add, hmul
 
 
+def relabelled(hmul, perm):
+    """The products with element x renamed ``perm[x]``."""
+    n = len(hmul)
+    out = [[None] * n for _ in range(n)]
+    for a, b in itertools.product(range(n), repeat=2):
+        out[perm[a]][perm[b]] = sorted(perm[x] for x in hmul[a][b])
+    return out
+
+
+# Z3 with its identity at label 2, and the same with 0 o 0 = Z3, where 2 is
+# still the scalar identity but 0 does not absorb
+Z3_IDENTITY_AT_2 = relabelled([[[(a * b) % 3] for b in range(3)] for a in range(3)],
+                              [0, 2, 1])
+Z3_ZERO_NOT_ABSORBING = [row[:] for row in Z3_IDENTITY_AT_2]
+Z3_ZERO_NOT_ABSORBING[0][0] = [0, 1, 2]
+# Z2 with x o y = {x + y}: 0 is the scalar identity and does not absorb
+Z2_SUM = [[[0], [1]], [[1], [0]]]
+# Z4 with x o y = {0, 2} for odd x and y, else {0}: 2 shares 0's row and
+# column, and 3 shares 1's
+Z4_PARITY = [[[0, 2] if x % 2 and y % 2 else [0] for y in range(4)]
+             for x in range(4)]
+
+
 def base_tables():
-    out = []
+    out = [(cyclic_add(3), Z3_IDENTITY_AT_2), (cyclic_add(3), Z3_ZERO_NOT_ABSORBING),
+           (cyclic_add(2), Z2_SUM), (cyclic_add(4), Z4_PARITY)]
     for n in range(1, 6):
         add = cyclic_add(n)
         out.append((add, [[[(a * b) % n] for b in range(n)] for a in range(n)]))
@@ -406,3 +438,181 @@ class TestParse:
                 new = [row[:] for row in hmul]
                 new[a][b] = cell
                 assert_same_outcome(add, new, True)
+
+
+# -- the prunes of the ordered scans ------------------------------------------
+
+def masks(hmul):
+    return [[mask_of(cell) for cell in row] for row in hmul]
+
+
+def associativity_fails(hmt, a, b, c):
+    left = 0
+    for t in bits(hmt[a][b]):
+        left |= hmt[t][c]
+    right = 0
+    for u in bits(hmt[b][c]):
+        right |= hmt[a][u]
+    return left != right
+
+
+def sign_law_tables(add, hmul, commutative, count):
+    """Tables that satisfy the sign law but not always the other laws: the
+    given tables, with the cells of one or two pairs of sign
+    representatives redrawn (with their mirror cells when
+    ``commutative``) and their sign orbits following
+    ``a o (-b) = (-a) o b = -(a o b)``; a cell of a self-negative element
+    is closed under negation."""
+    n = len(add)
+    neg = [row.index(0) for row in add]
+    reps = [x for x in range(n) if x <= neg[x]]
+    rng = random.Random(f"sign:{n}:{hmul}")
+    for _ in range(count):
+        new = [row[:] for row in hmul]
+        for _ in range(rng.randint(1, 2)):
+            a, b = rng.choice(reps), rng.choice(reps)
+            cell = set(elements_of(rng.randrange(1, 1 << n)))
+            if a == neg[a] or b == neg[b]:
+                cell |= {neg[x] for x in cell}
+            for x, y, flip in ((a, b, False), (neg[a], b, True),
+                               (a, neg[b], True), (neg[a], neg[b], False)):
+                new[x][y] = sorted({neg[t] for t in cell} if flip else cell)
+                if commutative:
+                    new[y][x] = new[x][y]
+        yield new
+
+
+class TestPrunes:
+    """The scans visit only the tuples that can be the least witness; each
+    case is compared with ``reference_validate``, which scans every tuple."""
+
+    @pytest.mark.parametrize("hmul, witness, later", [
+        # Z3: 1 o 1 = {2}, 1 o 2 = 2 o 2 = {1}
+        ([[[0], [0], [0]], [[0], [2], [1]], [[0], [1], [1]]],
+         (1, 1, 2), [(2, 1, 1)]),
+        ([[[0], [0], [0], [0]], [[0], [1], [2], [1, 2, 3]],
+          [[0], [2], [0], [0, 1, 3]], [[0], [1, 2, 3], [0, 1, 3], [0, 1, 3]]],
+         (1, 2, 3), [(2, 1, 3), (3, 1, 2), (3, 2, 1)]),
+    ])
+    def test_failing_multiset_in_arrangements_with_b_below_a(self, hmul, witness,
+                                                             later):
+        """A commutative scan takes ``b >= a``; the multiset of the least
+        witness also fails in arrangements with ``b < a``, which it skips."""
+        hmt = masks(hmul)
+        for t in later:
+            assert t[1] < t[0] and sorted(t) == sorted(witness)
+            assert associativity_fails(hmt, *t)
+        add = cyclic_add(len(hmul))
+        assert_same_outcome(add, hmul, True)
+        with pytest.raises(AxiomViolation) as exc:
+            validate_hyperring("t", add, hmul)
+        assert (exc.value.axiom, exc.value.witness) == ("hmul-associative", witness)
+
+    def test_bases_hold_absorbing_zero_and_scalar_identity(self):
+        """An absorbing 0 and a scalar identity, at a label other than 0
+        and 1, each present and absent among the base tables, whose every
+        cell mutation ``test_every_single_cell_mutation`` compares."""
+        combos = set()
+        late_identity = set()  # whether 0 absorbs, where the identity is > 1
+        for add, hmul in BASES:
+            n = len(add)
+            if n > 4:
+                continue
+            hmt = masks(hmul)
+            singles = [1 << a for a in range(n)]
+            scalar = next((e for e in range(n) if hmt[e] == singles
+                           and [row[e] for row in hmt] == singles), None)
+            absorbing = all(cell == 1 for cell in hmt[0]) and all(
+                row[0] == 1 for row in hmt)
+            combos.add((absorbing, scalar is not None))
+            if scalar is not None and scalar > 1:
+                late_identity.add(absorbing)
+        assert combos == set(itertools.product((True, False), repeat=2))
+        assert late_identity == {True, False}
+
+    def test_zero_skipped_as_b_only_when_it_absorbs(self):
+        """On Z2 with ``x o y = {x + y}``, 0 is the scalar identity but does
+        not absorb, and ``1 o (0 + 0) = {1}`` is not in ``1 o 0 + 1 o 0 =
+        {0}``; skipping ``b = 0`` would name ``(1, 1, 1)`` instead."""
+        add, hmul = cyclic_add(2), Z2_SUM
+        assert_same_outcome(add, hmul, True)
+        with pytest.raises(AxiomViolation) as exc:
+            validate_hyperring("t", add, hmul)
+        assert (exc.value.axiom, exc.value.witness) == ("distributive", (1, 0, 0))
+
+    def test_bases_hold_duplicate_rows(self):
+        """Only the least of the elements with equal row and column is
+        scanned.  On ``Z4_PARITY`` 2 shares 0's row and 3 shares 1's; on
+        the row matrices over Z2 rows repeat with different columns, so a
+        class needs both.  ``test_every_single_cell_mutation`` compares
+        each cell mutation of both."""
+        hmt = masks(Z4_PARITY)
+        assert hmt[0] == hmt[2] and hmt[1] == hmt[3]
+        add, hmul = row_matrix_tables(((1, 0),))
+        hmt = masks(hmul)
+        cols = list(zip(*hmt))
+        assert hmt[2] == hmt[3] and cols[2] != cols[3]
+        assert (cyclic_add(4), Z4_PARITY) in BASES and (add, hmul) in BASES
+
+    def test_sign_law_tables_fail_off_the_representatives(self):
+        """Where the sign law holds, the scans take only the sign-orbit
+        representatives; these tables fail at associativity or
+        distributivity with failing triples off the representatives, and
+        the least witness is still named.  The row matrices over Z3 are
+        not commutative, so both halves of the sign law are read."""
+        bases = [(cyclic_add(n), [[sorted({(x * e * y) % n for e in a_set})
+                                   for y in range(n)] for x in range(n)], True)
+                 for n in (4, 5, 6) for a_set in ((1,), (1, n - 1))]
+        bases += [row_matrix_tables(((1, 0),), 3) + (False,),
+                  row_matrix_tables(((1, 0), (2, 0)), 3) + (False,)]
+        seen = set()
+        off = 0  # tables with a failing triple off the representatives
+        for add, hmul, commutative in bases:
+            n = len(add)
+            neg = [row.index(0) for row in add]
+            for new in sign_law_tables(add, hmul, commutative, 40):
+                want = outcome(reference_validate, add, new, commutative)
+                assert want[1] != "sign-compatible"
+                assert outcome(validate_hyperring, add, new, commutative) == want
+                seen.add((commutative, "accept" if want[0] == "accept" else want[1]))
+                if want[1] == "hmul-associative":
+                    hmt = masks(new)
+                    assert all(x <= neg[x] for x in want[2])
+                    off += any(associativity_fails(hmt, a, b, c)
+                               for a, b, c in itertools.product(range(n), repeat=3)
+                               if any(x > neg[x] for x in (a, b, c)))
+        assert {(True, "hmul-associative"), (True, "distributive"),
+                (True, "accept"), (False, "hmul-associative")} <= seen, seen
+        assert off >= 200, off
+
+    def test_cell_mutations_of_a_noncommutative_ring_with_signs(self):
+        """The row matrices over Z3 have elements that are not their own
+        negatives; each cell with one element added or removed breaks or
+        keeps either half of the sign law."""
+        add, hmul = row_matrix_tables(((1, 0),), 3)
+        assert_same_outcome(add, hmul, False)
+        for a, b in itertools.product(range(9), repeat=2):
+            for x in range(9):
+                cell = sorted(set(hmul[a][b]) ^ {x})
+                if cell:
+                    new = [row[:] for row in hmul]
+                    new[a][b] = cell
+                    assert_same_outcome(add, new, False)
+
+    def test_every_cell_mutation_of_m2_z2(self, default_corpus):
+        """M2(Z2) is not commutative: each of its 256 hyperproduct cells
+        with one element added or removed.  (A changed add cell of its
+        carrier Z2^4 fails a group law before any product is read; Light's
+        test covers those on Z2^3.)"""
+        ring = next(r for r in default_corpus.rings if r.name == "M2(Z2)")
+        n = ring.size
+        add = [list(row) for row in ring.add]
+        hmul = [[elements_of(cell) for cell in row] for row in ring.hmul]
+        assert_same_outcome(add, hmul, False)
+        for a, b in itertools.product(range(n), repeat=2):
+            for x in range(n):
+                cell = sorted(set(hmul[a][b]) ^ {x})
+                if cell:
+                    new = [row[:] for row in hmul]
+                    new[a][b] = cell
+                    assert_same_outcome(add, new, False)
