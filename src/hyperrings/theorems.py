@@ -6,7 +6,8 @@ ring under test (ideals, elements, bounded families of subsets, covers by
 up to three ideals, and good homomorphisms between corpus members within a
 size cap) and returns one of three verdicts: ``holds``, ``counterexample``
 (with the lexicographically least witness), or ``not-applicable`` with a
-reason.
+reason: the first of its ``HYPOTHESES`` the ring fails, or a ``CapExceeded``
+at run time (the standing gate's product family, T35's hom candidates).
 
 Readings
 --------
@@ -71,6 +72,7 @@ from .classifiers import (
     regular_mask,
 )
 from .construct import (
+    MATRIX_CARRIER_CAP,
     classical_n_ideal,
     enumerate_good_homomorphisms,
     fundamental_ring,
@@ -229,25 +231,9 @@ class RingContext:
         return zero_radical(self.ring)
 
     def standing_ok(self) -> bool:
-        def compute() -> bool:
-            if self.ring.identity is None or not self.ring.commutative:
-                return False
-            return all(is_C_hyperideal(self.ring, m) for m in self.proper())
-        return self._memo("standing", compute)
-
-    def standing_blocks(self, rd: Reading) -> bool:
-        """Whether ``rd`` requires the standing assumption and the ring
-        fails it.  The ring is tested before the reading, so an evaluation
-        on a ring that meets the gate does not read the standing axis.  A
-        ring whose product family exceeds its cap cannot be tested: it is
-        gated, by that cap, only under ``required``."""
-        try:
-            ok = self.standing_ok()
-        except CapExceeded:
-            if rd.standing == "required":
-                raise
-            return False
-        return not ok and rd.standing == "required"
+        """Whether every proper hyperideal is a C-hyperideal."""
+        return self._memo("standing", lambda: all(
+            is_C_hyperideal(self.ring, m) for m in self.proper()))
 
     # -- element sets -------------------------------------------------------
     def reg(self, rd: Reading) -> int:
@@ -395,7 +381,50 @@ class RingContext:
 
 
 # ---------------------------------------------------------------------------
-# registry entries
+# registry entries and their hypotheses
+
+
+def _standing(ctx: RingContext, rd: Reading) -> Optional[str]:
+    """The standing gate: a ring that meets it does not read the axis, and
+    one whose product family exceeds its cap is gated only under required."""
+    try:
+        if ctx.standing_ok() or rd.standing == "waived":
+            return None
+    except CapExceeded:
+        if rd.standing == "waived":
+            return None
+        raise
+    return "standing assumption violated: some hyperideal is not a C-hyperideal"
+
+
+HYPOTHESES: dict[str, Callable[[RingContext, Reading], Optional[str]]] = {
+    "identity": lambda ctx, rd: "no identity" if ctx.e is None else None,
+    "commutative": lambda ctx, rd: (
+        None if ctx.ring.commutative else "noncommutative carrier"),
+    "standing": _standing,
+    "reduced": lambda ctx, rd: (
+        None if classify_ring(ctx.ring).reduced else "ring is not reduced"),
+    "scalar identity": lambda ctx, rd: (
+        None if ctx.ring.scalar_identity else "no scalar identity"),
+    "matrix cap": lambda ctx, rd: (  # the cap of matrix_hyperring(ring, 2)
+        f"matrix cap: matrix carrier size {ctx.size ** 4} exceeds cap "
+        f"{MATRIX_CARRIER_CAP}" if ctx.size ** 4 > MATRIX_CARRIER_CAP else None),
+    "gamma cap": lambda ctx, rd: (
+        f"gamma cap: carrier size {ctx.size} exceeds {GAMMA_CAP}"
+        if ctx.size > GAMMA_CAP else None),
+    "product": lambda ctx, rd: (
+        None if product_factor_sizes(ctx.ring) else "not a product construction"),
+}
+SHARED_HYPOTHESES = ("identity", "commutative", "standing")
+
+
+def _unmet(names: tuple[str, ...], ctx: RingContext, rd: Reading) -> Optional[str]:
+    """The reason of the first of ``names`` the ring fails, or None."""
+    for name in names:
+        reason = HYPOTHESES[name](ctx, rd)
+        if reason is not None:
+            return reason
+    return None
 
 
 CheckResult = tuple[str, Optional[dict]]
@@ -408,8 +437,7 @@ class TheoremEntry:
     statement: str
     axes: tuple[str, ...]
     checker: Checker
-    requires_scalar_identity: bool = False
-    requires_gamma: bool = False
+    hypotheses: tuple[str, ...] = ()  # names in HYPOTHESES, checked in order
     notes: str = ""
 
 
@@ -636,14 +664,10 @@ def _idempotents(ctx: RingContext, rd: Reading) -> list[int]:
 
 
 def _annihilator_sums_stay(ctx: RingContext, rd: Reading,
-                           family: Callable[[], tuple[int, ...]],
-                           key: str) -> CheckResult:
-    """T08a and T08b: on a reduced ring, each member of the family plus the
-    annihilator of an idempotent is an r-closed hyperideal.  The family is
-    read only once the ring is known to be reduced."""
-    if not classify_ring(ctx.ring).reduced:
-        return NOT_APPLICABLE, {"reason": "ring is not reduced"}
-    for p_mask in family():
+                           family: tuple[int, ...], key: str) -> CheckResult:
+    """T08a and T08b: each member of the family plus the annihilator of an
+    idempotent is an r-closed hyperideal."""
+    for p_mask in family:
         for s in _idempotents(ctx, rd):
             # ann(s) is empty when 0 o s is not {0}, and so is the sum
             total = set_sum(ctx.ring, p_mask, ctx.ann(s))
@@ -656,11 +680,11 @@ def _annihilator_sums_stay(ctx: RingContext, rd: Reading,
 @entry("T08a",
        "In a reduced hyperring, a minimal nonzero hyperideal plus the "
        "annihilator of an idempotent element is r-closed.",
-       axes=("idempotent",),
+       axes=("idempotent",), hypotheses=("reduced",),
        notes="Minimality admits two readings; this variant takes "
              "minimal-nonzero, its sibling T08b minimal-prime.")
 def _t08a(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
-    return _annihilator_sums_stay(ctx, rd, lambda: tuple(
+    return _annihilator_sums_stay(ctx, rd, tuple(
         m for m in ctx.proper() if is_minimal_nonzero(ctx.ring, m)),
         "minimal_set")
 
@@ -668,11 +692,11 @@ def _t08a(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
 @entry("T08b",
        "In a reduced hyperring, a minimal prime hyperideal plus the "
        "annihilator of an idempotent element is r-closed.",
-       axes=("idempotent", "prime_mode"),
+       axes=("idempotent", "prime_mode"), hypotheses=("reduced",),
        notes="Variant of T08a reading minimal as minimal-prime.")
 def _t08b(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     return _annihilator_sums_stay(
-        ctx, rd, lambda: ctx.minimal_primes(rd), "minimal_prime_set")
+        ctx, rd, ctx.minimal_primes(rd), "minimal_prime_set")
 
 
 # --- r-hyperideals vs primes (T09..T17) -------------------------------------
@@ -724,13 +748,11 @@ def _t11(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
 @entry("T12",
        "In a reduced hyperring, a non-essential r-ideal lies inside some "
        "minimal prime that is itself a maximal r-ideal.",
-       axes=("prime_mode",),
+       axes=("prime_mode",), hypotheses=("reduced",),
        notes="The usual derivation of this statement mishandles the "
              "essentiality premise at one step; the statement itself is "
              "checked as written.")
 def _t12(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
-    if not classify_ring(ctx.ring).reduced:
-        return NOT_APPLICABLE, {"reason": "ring is not reduced"}
     max_r = maximal_members(ctx.r_class())
     for i_mask in ctx.r_class():
         if is_essential(ctx.ring, i_mask):
@@ -1031,11 +1053,10 @@ def _t31(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
 @entry("T32",
        "A reduced hyperring that is not an integral hyperdomain has no "
        "n-ideal; in a reduced hyperring the zero ideal is an n-ideal "
-       "exactly when the ring is an integral hyperdomain.")
+       "exactly when the ring is an integral hyperdomain.",
+       hypotheses=("reduced",))
 def _t32(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     flags = classify_ring(ctx.ring)
-    if not flags.reduced:
-        return NOT_APPLICABLE, {"reason": "ring is not reduced"}
     if not flags.integral_hyperdomain and ctx.n_class():
         return _ce(part=1, n_class=[elements_of(m) for m in ctx.n_class()])
     zero_is_n = ctx.genzero() in ctx.n_class()
@@ -1076,15 +1097,14 @@ def _t34(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
 @entry("T35",
        "Along good homomorphisms between corpus members: preimages of "
        "n-ideals under monomorphisms are n-ideals, and images of n-ideals "
-       "containing the kernel under epimorphisms are n-ideals.")
+       "containing the kernel under epimorphisms are n-ideals.",
+       notes="Targets are the run's rings: --corpus DIR or chunks can change holds.")
 def _t35(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     src = ctx
     for dst in suite.contexts:
         if src.size * dst.size > HOM_SIZE_CAP:
             continue
-        if dst.ring.identity is None or not dst.ring.commutative:
-            continue
-        if dst.standing_blocks(rd):
+        if _unmet(SHARED_HYPOTHESES, dst, rd) is not None:
             continue
         for hom in enumerate_good_homomorphisms(src.ring, dst.ring):
             if hom.injective:
@@ -1137,12 +1157,9 @@ def _t36(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
        "If the square-matrix ideal over a hyperideal is an n-ideal of the "
        "square-matrix structure, the hyperideal is an n-ideal of the base "
        "ring (base ring with scalar identity).",
-       requires_scalar_identity=True)
+       hypotheses=("scalar identity", "matrix cap"))
 def _t37(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
-    try:
-        m2 = matrix_hyperring(ctx.ring, 2)
-    except CapExceeded as exc:
-        return NOT_APPLICABLE, {"reason": f"matrix cap: {exc}"}
+    m2 = matrix_hyperring(ctx.ring, 2)
     mctx = RingContext(m2)
     for i_mask in ctx.proper():
         mat = matrix_ideal_mask(ctx.ring, 2, i_mask)
@@ -1175,12 +1192,10 @@ def _t38(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
 
 @entry("T39",
        "In a direct product, a rectangular ideal (a product of component "
-       "ideals) that is an n-ideal must be the whole ring.")
+       "ideals) that is an n-ideal must be the whole ring.",
+       hypotheses=("product",))
 def _t39(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
-    sizes = product_factor_sizes(ctx.ring)
-    if sizes is None:
-        return NOT_APPLICABLE, {"reason": "not a product construction"}
-    n1, n2 = sizes
+    _, n2 = product_factor_sizes(ctx.ring)
     for i_mask in ctx.proper():
         left = 0
         right = 0
@@ -1202,7 +1217,7 @@ def _t39(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
        "Over a scalar-identity hyperring within the fundamental-quotient "
        "cap: a hyperideal is an n-ideal exactly when its class image is an "
        "n-ideal of the fundamental ordinary ring.",
-       requires_scalar_identity=True, requires_gamma=True)
+       hypotheses=("scalar identity", "gamma cap"))
 def _t40(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     fund = fundamental_ring(ctx.ring)
     for i_mask in ctx.proper():
@@ -1254,25 +1269,10 @@ class TheoremVerdict:
         return obj
 
 
-def _applicability(entry_: TheoremEntry, ctx: RingContext,
-                   rd: Reading) -> Optional[str]:
-    if ctx.ring.identity is None:
-        return "no identity"
-    if not ctx.ring.commutative:
-        return "noncommutative carrier"
-    if ctx.standing_blocks(rd):
-        return "standing assumption violated: some hyperideal is not a C-hyperideal"
-    if entry_.requires_scalar_identity and not ctx.ring.scalar_identity:
-        return "no scalar identity"
-    if entry_.requires_gamma and ctx.size > GAMMA_CAP:
-        return f"gamma cap: carrier size {ctx.size} exceeds {GAMMA_CAP}"
-    return None
-
-
 def _evaluate(entry_: TheoremEntry, ctx: RingContext, rd: Reading,
               suite: Suite) -> CheckResult:
     try:
-        reason = _applicability(entry_, ctx, rd)
+        reason = _unmet(SHARED_HYPOTHESES + entry_.hypotheses, ctx, rd)
         if reason is not None:
             return NOT_APPLICABLE, {"reason": reason}
         return entry_.checker(ctx, rd, suite)

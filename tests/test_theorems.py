@@ -19,7 +19,12 @@ from hyperrings.core import (
     HyperRingError,
     validate_hyperring,
 )
-from hyperrings.corpus import ordinary_ring, zn_with_products
+from hyperrings.corpus import (
+    CorpusSpec,
+    generate_corpus,
+    ordinary_ring,
+    zn_with_products,
+)
 from hyperrings.construct import (
     FundamentalRingImage,
     QuotientImage,
@@ -261,8 +266,9 @@ class TestCoverMachinery:
 
 
 def check_every_reading(ring, tids):
-    """``(entry, reading values) -> (status, witness)`` from calling each
-    checker directly, past the gates, on every reading of its axes."""
+    """``(entry, reading values) -> (status, witness)`` on every reading of
+    the entry's axes, with the shared hypotheses skipped: the entry's own
+    declared hypotheses, then its checker called directly."""
     ctx = RingContext(ring)
     suite = theorems.Suite([ctx])
     out = {}
@@ -270,7 +276,9 @@ def check_every_reading(ring, tids):
         entry = REGISTRY_BY_ID[tid]
         for values in product(*(READING_AXES[a] for a in entry.axes)):
             rd = Reading(standing="waived", **dict(zip(entry.axes, values)))
-            out[tid, values] = entry.checker(ctx, rd, suite)
+            reason = theorems._unmet(entry.hypotheses, ctx, rd)
+            out[tid, values] = (NOT_APPLICABLE, {"reason": reason}) if reason \
+                else entry.checker(ctx, rd, suite)
     return out
 
 
@@ -364,6 +372,92 @@ class TestSharedCheckerBodies:
             COUNTEREXAMPLE, {"ideal": [0, 1, 2, 3],
                              "cover": [[0, 1], [0, 2], [0, 3]],
                              "prime": [0, 1]})
+
+
+# The default corpus's not-applicable cells under each standing reading,
+# by reason (the text before ":" for the caps); a cold run with the sweep.
+NOT_APPLICABLE_SPLIT = {
+    "required": {
+        "standing assumption violated: some hyperideal is not a C-hyperideal":
+            1394,
+        "no identity": 164, "ring is not reduced": 68,
+        "no scalar identity": 60, "noncommutative carrier": 41,
+        "not a product construction": 32, "matrix cap": 18, "gamma cap": 5},
+    "waived": {
+        "no identity": 164, "no scalar identity": 128,
+        "ring is not reduced": 116, "noncommutative carrier": 41,
+        "not a product construction": 41, "matrix cap": 18, "gamma cap": 5},
+}
+# the entries that declare each hypothesis of their own, by its reason;
+# the shared hypotheses' reasons reach every entry
+OWN_REASON_ENTRIES = {
+    "ring is not reduced": {"T08a", "T08b", "T12", "T32"},
+    "no scalar identity": {"T37", "T40"},
+    "not a product construction": {"T39"},
+    "matrix cap": {"T37"},
+    "gamma cap": {"T40"},
+}
+
+
+class TestHypotheses:
+    """``not-applicable`` is decided by the hypothesis table alone: the
+    shared hypotheses, then each entry's own, in the order declared."""
+
+    def test_declared_names_are_in_the_table(self):
+        assert set(theorems.SHARED_HYPOTHESES) <= theorems.HYPOTHESES.keys()
+        for e in REGISTRY:
+            assert set(e.hypotheses) <= theorems.HYPOTHESES.keys(), e.tid
+            assert not set(e.hypotheses) & set(theorems.SHARED_HYPOTHESES)
+
+    def test_standing_is_read_only_past_the_gate(self, z4):
+        """The gate tests the ring first, so an evaluation on a ring that
+        meets it does not read the standing axis, and the sweep reuses it."""
+        gated = zn_with_products(4, (2, 3))  # has a non-C hyperideal
+        for ring, read in ((z4, {}), (gated, {"standing": "required"})):
+            recorded = theorems._RecordingReading(Reading())
+            theorems._unmet(theorems.SHARED_HYPOTHESES, RingContext(ring),
+                            recorded)
+            assert recorded.axes_read() == read, ring.name
+
+    @pytest.mark.parametrize("standing", READING_AXES["standing"])
+    @pytest.mark.parametrize("corpus", ["default", "small"])
+    def test_no_checker_decides_not_applicable(self, corpus, standing,
+                                                default_corpus, small_corpus):
+        rings = default_corpus.rings if corpus == "default" else small_corpus
+        contexts = [RingContext(r) for r in rings]
+        suite = theorems.Suite(contexts)
+        rd = Reading(standing=standing)
+        checked = Counter()
+        for entry in REGISTRY:
+            names = theorems.SHARED_HYPOTHESES + entry.hypotheses
+            for ctx in contexts:
+                if theorems._unmet(names, ctx, rd) is not None:
+                    continue
+                status, _ = entry.checker(ctx, rd, suite)
+                assert status != NOT_APPLICABLE, (entry.tid, ctx.ring.name)
+                checked[entry.tid] += 1
+        # every entry but T39 (no product ring is small) ran somewhere
+        assert set(checked) == {e.tid for e in REGISTRY} - (
+            {"T39"} if corpus == "small" else set())
+
+    @pytest.mark.parametrize("standing", READING_AXES["standing"])
+    def test_default_corpus_split_by_reason(self, standing):
+        rings = generate_corpus(CorpusSpec()).rings
+        report = run_suite(rings, reading=Reading(standing=standing))
+        counts = Counter()
+        entries: dict[str, set[str]] = {}
+        for v in report.verdicts:
+            if v.status != NOT_APPLICABLE:
+                continue
+            reason = v.witness["reason"]
+            head = reason.split(":")[0]
+            key = head if head.endswith(" cap") else reason
+            counts[key] += 1
+            entries.setdefault(key, set()).add(v.theorem)
+        assert counts == NOT_APPLICABLE_SPLIT[standing]
+        every = {e.tid for e in REGISTRY}
+        assert entries == {key: OWN_REASON_ENTRIES.get(key, every)
+                           for key in counts}
 
 
 def t31_by_rescan(ctx):
