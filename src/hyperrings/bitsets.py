@@ -12,12 +12,10 @@ from __future__ import annotations
 from typing import Iterable
 
 
-def _positions(byte: int, offset: int) -> tuple[int, ...]:
-    return tuple(i + offset for i in range(8) if byte >> i & 1)
-
-
-_LOW = tuple(_positions(b, 0) for b in range(256))
-_HIGH = tuple(_positions(b, 8) for b in range(256))
+_LOW = _HIGH = ((),)
+for _i in range(8):  # bytes 2**_i to 2**(_i+1) - 1: those below, with _i added
+    _LOW += tuple([t + (_i,) for t in _LOW])
+    _HIGH += tuple([t + (_i + 8,) for t in _HIGH])
 
 
 def bits(mask: int) -> tuple[int, ...]:

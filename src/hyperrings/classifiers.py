@@ -17,8 +17,7 @@ counterexample reports are stable across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bitsets import is_subset, singleton, subset_key
 from .core import (
@@ -254,8 +253,7 @@ def maximal_disjoint_ideal(ring: HyperRing, subset: int,
     return profile(ring, min(options, key=subset_key))
 
 
-@dataclass(frozen=True)
-class ClassificationFlags:
+class ClassificationFlags(NamedTuple):
     prime: bool
     primary: bool
     maximal: bool

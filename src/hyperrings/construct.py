@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .bitsets import bits, elements_of, is_subset, mask_of, singleton
 from .core import (
@@ -77,8 +76,7 @@ class NotClosed(HyperRingError):
 # quotient by a hyperideal
 
 
-@dataclass(frozen=True)
-class QuotientImage:
+class QuotientImage(NamedTuple):
     ring: HyperRing
     projection: tuple[int, ...]  # element of the source -> class index
     source_name: str
@@ -217,6 +215,14 @@ def product_factor_sizes(ring: HyperRing) -> Optional[tuple[int, int]]:
 # matrix structures
 
 
+def matrix_cap_exceeded(ring: HyperRing, n: int,
+                        cap: int = MATRIX_CARRIER_CAP) -> Optional[CapExceeded]:
+    """What :func:`matrix_hyperring` raises when the ``|R|^(n*n)`` carrier
+    exceeds ``cap``, or None."""
+    size = ring.size ** (n * n)
+    return CapExceeded("matrix carrier size", size, cap) if size > cap else None
+
+
 def matrix_hyperring(ring: HyperRing, n: int,
                      cap: int = MATRIX_CARRIER_CAP,
                      name: Optional[str] = None) -> HyperRing:
@@ -231,10 +237,10 @@ def matrix_hyperring(ring: HyperRing, n: int,
         raise ValueError("matrix dimension must be 1 or 2")
     if ring.identity is None or not ring.scalar_identity:
         raise ValueError("matrix construction requires a scalar identity")
+    if (exceeded := matrix_cap_exceeded(ring, n, cap)) is not None:
+        raise exceeded
     cells = n * n
     size = ring.size ** cells
-    if size > cap:
-        raise CapExceeded("matrix carrier size", size, cap)
 
     def decode(idx: int) -> tuple[int, ...]:
         out = []
@@ -292,8 +298,7 @@ def matrix_ideal_mask(ring: HyperRing, n: int, members: int) -> int:
 # good homomorphisms
 
 
-@dataclass(frozen=True)
-class GoodHomomorphism:
+class GoodHomomorphism(NamedTuple):
     source: HyperRing
     target: HyperRing
     mapping: tuple[int, ...]
@@ -473,8 +478,7 @@ def enumerate_good_homomorphisms(source: HyperRing,
 # subhyperrings
 
 
-@dataclass(frozen=True)
-class SubringImage:
+class SubringImage(NamedTuple):
     ring: HyperRing
     embedding: tuple[int, ...]  # subring element index -> source element
 
@@ -566,8 +570,7 @@ def subhyperring_masks(ring: HyperRing) -> list[int]:
 # fundamental ordinary-ring quotient
 
 
-@dataclass(frozen=True)
-class OrdinaryRing:
+class OrdinaryRing(NamedTuple):
     """A finite commutative ring given by plain operation tables."""
 
     name: str
@@ -622,8 +625,7 @@ def classical_n_ideal(ring: OrdinaryRing, members: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FundamentalRingImage:
+class FundamentalRingImage(NamedTuple):
     source_name: str
     classes: tuple[int, ...]  # class index -> mask of source elements
     projection: tuple[int, ...]  # source element -> class index

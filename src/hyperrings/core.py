@@ -17,7 +17,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from operator import and_, or_
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .bitsets import bits, full_mask, mask_of, singleton
 
@@ -75,6 +75,10 @@ class HyperRing:
     False only for structures produced by the matrix construction, which is
     the single sanctioned source of non-commutative carriers, and for
     subrings and products derived from them.
+
+    A dataclass, unlike the package's named-tuple records: derived data
+    lives in its instance dict, outside its field-wise equality and hash,
+    and ``dataclasses.replace`` copies it without that cache.
 
     Derived data is computed on first use and cached on the instance, so it
     lives exactly as long as the ring:
@@ -334,8 +338,7 @@ def is_invertible(ring: HyperRing, x: int) -> bool:
     return any(ring.hmul[x][y] & ebit for y in range(ring.size))
 
 
-@dataclass(frozen=True)
-class ElementFlags:
+class ElementFlags(NamedTuple):
     zero_divisor: bool
     nilpotent: bool
     regular_vnr: bool
@@ -359,8 +362,7 @@ def element_predicates(ring: HyperRing, x: int) -> ElementFlags:
     )
 
 
-@dataclass(frozen=True)
-class RingFlags:
+class RingFlags(NamedTuple):
     integral_hyperdomain: bool
     reduced: bool
     regular_ring: bool

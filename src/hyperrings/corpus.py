@@ -20,15 +20,14 @@ pinned in a manifest of name/content-hash pairs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bitsets import elements_of
 from .core import HyperRing, HyperRingError, validate_hyperring
 from .construct import (
-    MATRIX_CARRIER_CAP,
     direct_product,
+    matrix_cap_exceeded,
     matrix_hyperring,
     quotient,
 )
@@ -39,8 +38,7 @@ DEFAULT_A_SETS: tuple[tuple[int, ...], ...] = ((1,), (5, 7), (2, 3), (-1, 1))
 PRODUCT_SIZE_CAP = 12  # largest carrier the closure builds as a direct product
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
+class CorpusSpec(NamedTuple):
     ordinary_range: tuple[int, int] = (2, 12)
     zna_range: tuple[int, int] = (2, 13)
     a_sets: tuple[tuple[int, ...], ...] = DEFAULT_A_SETS
@@ -48,10 +46,13 @@ class CorpusSpec:
     closure_depth: int = 1
 
 
-@dataclass
 class CorpusResult:
-    rings: list[HyperRing] = field(default_factory=list)
-    discarded: list[tuple[str, str]] = field(default_factory=list)
+    """Mutable: :func:`generate_corpus` fills both lists after building it."""
+
+    def __init__(self, rings: Optional[list[HyperRing]] = None,
+                 discarded: Optional[list[tuple[str, str]]] = None):
+        self.rings = [] if rings is None else rings
+        self.discarded = [] if discarded is None else discarded
 
     def names(self) -> list[str]:
         return [r.name for r in self.rings]
@@ -157,7 +158,7 @@ def generate_corpus(spec: CorpusSpec = CorpusSpec()) -> CorpusResult:
                       f"{r1.name}x{r2.name}")
         for ring in base:
             # skipped, not discarded: matrix_hyperring would raise CapExceeded
-            if ring.size ** 4 > MATRIX_CARRIER_CAP:
+            if matrix_cap_exceeded(ring, 2) is not None:
                 continue
             if not ring.scalar_identity:
                 continue

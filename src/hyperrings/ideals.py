@@ -9,8 +9,7 @@ is kept in the test suite as the oracle for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bitsets import bits, is_subset, singleton, subset_key
 from .core import (
@@ -73,8 +72,7 @@ def generated_ideal_mask(ring: HyperRing, gens: int) -> int:
         members = new
 
 
-@dataclass(frozen=True)
-class IdealProfile:
+class IdealProfile(NamedTuple):
     """A hyperideal with its basic flags; ``repaired`` records whether an
     arithmetic operation had to fall back to ideal closure."""
 

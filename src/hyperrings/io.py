@@ -106,6 +106,8 @@ def load_ring(path: Union[str, Path]) -> HyperRing:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise FileFormatError(f"{p}: cannot read file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{p}: not UTF-8 text: {exc}") from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from io import BytesIO
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
-from typing import BinaryIO, Callable, Optional
+from typing import BinaryIO, Callable, NamedTuple, Optional
 
 from .bitsets import bits, elements_of, is_subset, singleton, subset_key, union_of
 from .core import (
@@ -72,10 +72,10 @@ from .classifiers import (
     regular_mask,
 )
 from .construct import (
-    MATRIX_CARRIER_CAP,
     classical_n_ideal,
     enumerate_good_homomorphisms,
     fundamental_ring,
+    matrix_cap_exceeded,
     matrix_hyperring,
     matrix_ideal_mask,
     product_factor_sizes,
@@ -118,8 +118,7 @@ DEFAULT_READING: dict[str, str] = {axis: options[0]
                                    for axis, options in READING_AXES.items()}
 
 
-@dataclass(frozen=True)
-class Reading:
+class Reading(NamedTuple):
     regular: str = "nzd"
     product: str = "raw"
     prime_mode: str = MODE_RELAXED
@@ -129,8 +128,7 @@ class Reading:
     standing: str = "required"
 
     def with_flags(self, **kw: str) -> "Reading":
-        data = self.__dict__ | kw
-        return Reading(**data)
+        return Reading(**(self._asdict() | kw))
 
     def label(self, axes: tuple[str, ...]) -> str:
         return ",".join(f"{a}={getattr(self, a)}" for a in sorted(axes))
@@ -407,8 +405,8 @@ HYPOTHESES: dict[str, Callable[[RingContext, Reading], Optional[str]]] = {
     "scalar identity": lambda ctx, rd: (
         None if ctx.ring.scalar_identity else "no scalar identity"),
     "matrix cap": lambda ctx, rd: (  # the cap of matrix_hyperring(ring, 2)
-        f"matrix cap: matrix carrier size {ctx.size ** 4} exceeds cap "
-        f"{MATRIX_CARRIER_CAP}" if ctx.size ** 4 > MATRIX_CARRIER_CAP else None),
+        None if (exc := matrix_cap_exceeded(ctx.ring, 2)) is None
+        else f"matrix cap: {exc}"),
     "gamma cap": lambda ctx, rd: (
         f"gamma cap: carrier size {ctx.size} exceeds {GAMMA_CAP}"
         if ctx.size > GAMMA_CAP else None),
@@ -433,6 +431,9 @@ Checker = Callable[[RingContext, Reading, "Suite"], CheckResult]
 
 @dataclass(frozen=True)
 class TheoremEntry:
+    """A dataclass, unlike the package's named-tuple records, because
+    ``perfbench/tracer.py`` wraps each checker with ``dataclasses.replace``."""
+
     tid: str
     statement: str
     axes: tuple[str, ...]
@@ -1237,8 +1238,7 @@ REGISTRY_BY_ID = {e.tid: e for e in REGISTRY}
 # runner
 
 
-@dataclass
-class TheoremVerdict:
+class TheoremVerdict(NamedTuple):
     """One (entry, ring) cell.  Its ``readings``, ``reading_results`` and
     ``not-applicable`` witness are read-only: a run gives every cell with
     the same items one dict, and ``to_obj`` passes them on as they are."""
@@ -1247,25 +1247,16 @@ class TheoremVerdict:
     ring: str
     status: str
     witness: Optional[dict]
-    readings: dict[str, str] = field(default_factory=dict)
-    reading_results: dict[str, str] = field(default_factory=dict)
+    readings: dict[str, str]
+    reading_results: dict[str, str]
     reading_sensitive: bool = False
     reverified: bool = False
     wall_ms: Optional[float] = None
 
     def to_obj(self, include_timings: bool = False) -> dict:
-        obj = {
-            "theorem": self.theorem,
-            "ring": self.ring,
-            "status": self.status,
-            "witness": self.witness,
-            "readings": self.readings,
-            "reading_results": self.reading_results,
-            "reading_sensitive": self.reading_sensitive,
-            "reverified": self.reverified,
-        }
-        if include_timings:
-            obj["wall_ms"] = self.wall_ms
+        obj = self._asdict()
+        if not include_timings:
+            del obj["wall_ms"]
         return obj
 
 
@@ -1423,12 +1414,16 @@ def _verdict_writer(write: Callable[[bytes], object],
     return write_verdicts
 
 
-@dataclass
 class SuiteReport:
-    readings: dict[str, str]
-    rings: list[str]
-    verdicts: list[TheoremVerdict]
-    discarded: list[tuple[str, str]] = field(default_factory=list)
+    """A run's verdicts; mutable, since the CLI sets ``discarded``."""
+
+    def __init__(self, readings: dict[str, str], rings: list[str],
+                 verdicts: list[TheoremVerdict],
+                 discarded: Optional[list[tuple[str, str]]] = None):
+        self.readings = readings
+        self.rings = rings
+        self.verdicts = verdicts
+        self.discarded = [] if discarded is None else discarded
 
     @property
     def counterexamples(self) -> list[TheoremVerdict]:

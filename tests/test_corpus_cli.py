@@ -96,6 +96,13 @@ class TestCli:
     def test_missing_file_is_exit_2(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
+    def test_file_not_utf8_is_exit_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: not UTF-8 text: ")
+
     def test_usage_error_is_exit_2(self, capsys):
         assert main(["frobnicate"]) == 2
 

@@ -90,6 +90,15 @@ def test_loader_reports_json_syntax_position(tmp_path):
     assert "line 2" in str(exc.value)
 
 
+def test_loader_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    with pytest.raises(FileFormatError) as exc:
+        load_ring(path)
+    assert str(exc.value).startswith(f"{path}: not UTF-8 text: ")
+    assert isinstance(exc.value.__cause__, UnicodeDecodeError)
+
+
 def test_loader_rejects_wrong_shapes():
     with pytest.raises(FileFormatError):
         ring_from_obj({"name": "x", "size": 2, "add": [[0, 1]], "hmul": []})

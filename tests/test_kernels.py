@@ -35,6 +35,11 @@ class TestBits:
     def test_wider_than_two_bytes(self, mask):
         assert list(bits(mask)) == naive_bits(mask)
 
+    def test_every_two_byte_mask(self):
+        """Covers every entry of both position tables."""
+        for mask in range(1 << 16):
+            assert list(bits(mask)) == naive_bits(mask), mask
+
     def test_returns_a_tuple(self):
         assert bits(0) == ()
         assert bits(0b1000_0000_0000_0101) == (0, 2, 15)
