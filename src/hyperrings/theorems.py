@@ -190,11 +190,19 @@ class RingContext:
     hyperideal off those cached classes.
     Only registry-specific values are memoised here: the standing gate, the
     candidate-subset families, colons, ideal products, the ideal covers
-    (listed once per ring) and the irredundant ones of each ideal, and
-    factor witnesses.  None of them depends on a reading except through the
-    axis value in its key, so every reading and every entry shares them.
-    Derived rings are built by the checker that reads them, once per
-    evaluation, and are dropped with it.
+    (listed once per ring) and the irredundant ones of each ideal, factor
+    witnesses, and T35's first failure on each target.  None of them depends
+    on a reading except through the axis value in its key, so every reading
+    and every entry shares them.  No key carries the ``product`` axis: an
+    ideal product is kept as its raw and closed forms together.  T35 keys
+    its targets by their position in the run, so a context serves the one
+    run whose suite lists its targets.
+
+    An axis is read only where its options differ on the ring
+    (:meth:`primes`, :meth:`prod`, :meth:`lenient`), so an evaluation that
+    skips the read is also the evaluation of the other option, and the
+    sweep reuses its status.  Derived rings are built by the checker that
+    reads them, once per evaluation, and are dropped with it.
     """
 
     def __init__(self, ring: HyperRing):
@@ -237,6 +245,15 @@ class RingContext:
     def reg(self, rd: Reading) -> int:
         return regular_mask(self.ring, rd.regular)
 
+    def lenient(self, rd: Reading) -> bool:
+        """Whether ``is_r_mult_closed`` waives its extra-regular-element
+        clause.  The waiver applies only when no regular element other than
+        the identity exists, so ``closed_subset`` is read only then; on any
+        other ring both readings give False."""
+        if self.reg(rd) & ~singleton(self.e):
+            return False
+        return rd.closed_subset == "lenient"
+
     # -- classifications ----------------------------------------------------
     def is_n(self, members: int) -> bool:
         """The n-law on a hyperideal, read off the cached n-class."""
@@ -258,19 +275,34 @@ class RingContext:
     def r_class(self) -> tuple[int, ...]:
         return self._class(CLASS_R)
 
+    def _prime_mode(self, rd: Reading) -> str:
+        """The ``prime_mode`` to classify primes under.  The two modes
+        disagree only on the zero ideal, so the axis is read only when
+        {0} is a relaxed prime."""
+        if ZERO_MASK in self._class(CLASS_PRIME, MODE_RELAXED):
+            return rd.prime_mode
+        return MODE_RELAXED
+
     def primes(self, rd: Reading) -> tuple[int, ...]:
-        return self._class(CLASS_PRIME, rd.prime_mode)
+        return self._class(CLASS_PRIME, self._prime_mode(rd))
 
     def minimal_primes(self, rd: Reading) -> tuple[int, ...]:
-        return minimal_primes(self.ring, rd.prime_mode)
+        return minimal_primes(self.ring, self._prime_mode(rd))
 
     # -- arithmetic ----------------------------------------------------------
     def prod(self, rd: Reading, left: int, right: int) -> int:
-        def compute() -> int:
-            if rd.product == "raw":
-                return set_product(self.ring, left, right)
-            return ideal_product_mask(self.ring, left, right)[0]
-        return self._memo(("prod", rd.product, left, right), compute)
+        """``left o right`` under the ``product`` reading, which is read
+        only when the raw set product is not a hyperideal: otherwise
+        ``ideal_product_mask`` returns that same set."""
+        def compute() -> tuple[int, int]:
+            raw = set_product(self.ring, left, right)
+            if is_hyperideal(self.ring, raw):
+                return raw, raw
+            return raw, ideal_product_mask(self.ring, left, right)[0]
+        raw, closed = self._memo(("prod", left, right), compute)
+        if raw == closed or rd.product == "raw":
+            return raw
+        return closed
 
     def colon(self, members: int, against: int) -> int:
         key = ("colon", members, against)
@@ -356,9 +388,8 @@ class RingContext:
         return self._memo("candidate_subsets", compute)
 
     def rmc_family(self, rd: Reading) -> tuple[int, ...]:
-        key = ("rmc", rd.regular, rd.closed_subset)
-        lenient = rd.closed_subset == "lenient"
-        return self._memo(key, lambda: tuple(
+        lenient = self.lenient(rd)
+        return self._memo(("rmc", rd.regular, lenient), lambda: tuple(
             s for s in self.candidate_subsets()
             if is_r_mult_closed(self.ring, s, rd.regular, lenient)))
 
@@ -653,13 +684,13 @@ def _t07(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
 
 
 def _idempotents(ctx: RingContext, rd: Reading) -> list[int]:
+    """The idempotents under the ``idempotent`` reading, which is read only
+    for an s with ``s in s o s != {s}``, the one case the readings split."""
     out = []
     for s in range(ctx.size):
         sq = ctx.ring.hmul[s][s]
-        if rd.idempotent == "weak":
-            if sq & singleton(s):
-                out.append(s)
-        elif sq == singleton(s):
+        if sq == singleton(s) or (sq & singleton(s)
+                                  and rd.idempotent == "weak"):
             out.append(s)
     return out
 
@@ -766,12 +797,15 @@ def _t12(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     return HOLDS, None
 
 
-def _covers_land_in(ctx: RingContext, reg: int,
+def _covers_land_in(ctx: RingContext, rd: Reading,
                     is_target: Callable[[int], bool], key: str) -> CheckResult:
     """T13 and T14: an ideal covered irredundantly by ideals of which one
-    is a target and the others meet ``reg`` lies inside that target."""
+    is a target and the others meet the regular elements lies inside that
+    target.  The regular elements and the targets are read only inside a
+    cover, so a ring without one reads no axis."""
     for i_mask in ctx.ideals():
         for combo in ctx.irredundant_covers(i_mask):
+            reg = ctx.reg(rd)
             for t, target in enumerate(combo):
                 if not is_target(target):
                     continue
@@ -790,8 +824,8 @@ def _covers_land_in(ctx: RingContext, reg: int,
        "r-ideal.",
        axes=("regular",))
 def _t13(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
-    return _covers_land_in(ctx, ctx.reg(rd),
-                           set(ctx.r_class()).__contains__, "r_member_set")
+    return _covers_land_in(ctx, rd, lambda m: m in ctx.r_class(),
+                           "r_member_set")
 
 
 @entry("T14",
@@ -800,8 +834,8 @@ def _t13(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
        "regular elements, it lies in the minimal prime.",
        axes=("regular", "prime_mode"))
 def _t14(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
-    return _covers_land_in(ctx, ctx.reg(rd),
-                           set(ctx.minimal_primes(rd)).__contains__, "prime_set")
+    return _covers_land_in(ctx, rd, lambda m: m in ctx.minimal_primes(rd),
+                           "prime_set")
 
 
 @entry("T15",
@@ -813,7 +847,7 @@ def _t14(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
              "and falsifies the statement; the default reading takes it to "
              "consist of regular elements.")
 def _t15(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
-    lenient = rd.closed_subset == "lenient"
+    lenient = ctx.lenient(rd)
     reg = ctx.reg(rd)
     for s_mask in ctx.rmc_family(rd):
         for t_mask in ctx.mult_closed_family():
@@ -823,7 +857,7 @@ def _t15(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
                 # the conclusion is a subset avoiding zero, so the
                 # multiplicative extension is implicitly zero-free
                 continue
-            if rd.mult_subset == "regular" and not is_subset(t_mask, reg):
+            if not is_subset(t_mask, reg) and rd.mult_subset == "regular":
                 continue
             d = s_mask | t_mask | hprod(ctx.ring, s_mask, t_mask)
             if not is_r_mult_closed(ctx.ring, d, rd.regular, lenient):
@@ -836,7 +870,7 @@ def _t15(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
        "r-closed subset.",
        axes=("regular", "closed_subset"))
 def _t16(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
-    lenient = rd.closed_subset == "lenient"
+    lenient = ctx.lenient(rd)
     for i_mask in ctx.proper():
         comp = ctx.ring.carrier_mask & ~i_mask
         left = ctx.r_ok(i_mask)
@@ -1102,31 +1136,44 @@ def _t34(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
        notes="Targets are the run's rings: --corpus DIR or chunks can change holds.")
 def _t35(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     src = ctx
-    for dst in suite.contexts:
+    for position, dst in enumerate(suite.contexts):
         if src.size * dst.size > HOM_SIZE_CAP:
             continue
         if _unmet(SHARED_HYPOTHESES, dst, rd) is not None:
             continue
-        for hom in enumerate_good_homomorphisms(src.ring, dst.ring):
-            if hom.injective:
-                for i2 in dst.n_class():
-                    pre = hom.preimage_mask(i2)
-                    if pre == 0 or not is_hyperideal(src.ring, pre) \
-                            or not src.is_n(pre):
-                        return _ce(part=1, target=dst.ring.name,
-                                   mapping=list(hom.mapping),
-                                   target_ideal=elements_of(i2), preimage=elements_of(pre))
-            if hom.surjective:
-                ker = hom.kernel
-                for i1 in src.n_class():
-                    if not is_subset(ker, i1):
-                        continue
-                    img = hom.image_mask(i1)
-                    if not is_hyperideal(dst.ring, img) or not dst.is_n(img):
-                        return _ce(part=2, target=dst.ring.name,
-                                   mapping=list(hom.mapping),
-                                   source_ideal=elements_of(i1), image=elements_of(img))
+        # a target's failure does not depend on the reading, so the standing
+        # sweep searches only the targets its other reading skipped
+        failure = src._memo(("T35", position),
+                            lambda: _t35_first_failure(src, dst))
+        if failure is not None:
+            return failure
     return HOLDS, None
+
+
+def _t35_first_failure(src: RingContext,
+                       dst: RingContext) -> Optional[CheckResult]:
+    """T35's first counterexample along the good homomorphisms from ``src``
+    to ``dst``, or None."""
+    for hom in enumerate_good_homomorphisms(src.ring, dst.ring):
+        if hom.injective:
+            for i2 in dst.n_class():
+                pre = hom.preimage_mask(i2)
+                if pre == 0 or not is_hyperideal(src.ring, pre) \
+                        or not src.is_n(pre):
+                    return _ce(part=1, target=dst.ring.name,
+                               mapping=list(hom.mapping),
+                               target_ideal=elements_of(i2), preimage=elements_of(pre))
+        if hom.surjective:
+            ker = hom.kernel
+            for i1 in src.n_class():
+                if not is_subset(ker, i1):
+                    continue
+                img = hom.image_mask(i1)
+                if not is_hyperideal(dst.ring, img) or not dst.is_n(img):
+                    return _ce(part=2, target=dst.ring.name,
+                               mapping=list(hom.mapping),
+                               source_ideal=elements_of(i1), image=elements_of(img))
+    return None
 
 
 @entry("T36",
@@ -1287,7 +1334,9 @@ def run_theorem(entry_: TheoremEntry, ring: HyperRing,
                 explore_readings: bool = True) -> TheoremVerdict:
     """The verdict of ``entry_`` on ``ring`` under ``reading``, with the
     status of each alternate reading when ``explore_readings``.  The dicts
-    it holds come from ``Suite.shared``, so they are read-only."""
+    it holds come from ``Suite.shared``, so they are read-only.  A
+    ``context`` passed in serves one ``suite``: T35 keeps each target's
+    result on it under the target's position in that suite."""
     rd = reading or Reading()
     axes = tuple(entry_.axes) + ("standing",)
     ctx = context or RingContext(ring)

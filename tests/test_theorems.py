@@ -36,6 +36,7 @@ from hyperrings.ideals import (
     ann,
     hyperideal_masks,
     ideal_product,
+    prime_masks,
     radical,
     set_product,
 )
@@ -460,6 +461,113 @@ class TestHypotheses:
                            for key in counts}
 
 
+def local_ring_with_cover():
+    """F2[x, y]/(x, y)^2, order 8, element ``a + bx + cy`` at index
+    ``a + 2b + 4c``: its maximal ideal (x, y) is the union of the lines
+    (x), (y) and (x + y), a ring with identity that has an irredundant
+    cover by ideals."""
+    def mul(u, v):
+        a, b, c = u & 1, u >> 1 & 1, u >> 2
+        a2, b2, c2 = v & 1, v >> 1 & 1, v >> 2
+        return a * a2 | ((a * b2) ^ (a2 * b)) << 1 | ((a * c2) ^ (a2 * c)) << 2
+
+    add = [[u ^ v for v in range(8)] for u in range(8)]
+    hmul = [[[mul(u, v)] for v in range(8)] for u in range(8)]
+    return validate_hyperring("F2[x,y]/(x,y)^2", add, hmul)
+
+
+def axes_read(ring, read, reading=Reading()):
+    """The axes that ``read(ctx, rd)`` reads on a fresh context of the
+    ring, with their values."""
+    recorded = theorems._RecordingReading(reading)
+    read(RingContext(ring), recorded)
+    return recorded.axes_read()
+
+
+def evaluated(tid):
+    """A reader that evaluates the entry as the sweep does."""
+    def read(ctx, rd):
+        theorems._evaluate(REGISTRY_BY_ID[tid], ctx, rd,
+                           theorems.Suite([ctx]))
+    return read
+
+
+class TestLazyReads:
+    """Each axis is read only on a ring where its options give different
+    values, so the sweep reuses the evaluation of the other option;
+    ``TestReadingSweep`` checks that the reuse is exact."""
+
+    def test_prime_mode_only_where_zero_is_prime(self, z4):
+        def read(ctx, rd):
+            ctx.primes(rd)
+            ctx.minimal_primes(rd)
+
+        assert ZERO_MASK not in prime_masks(z4)
+        assert axes_read(z4, read) == {}
+        z3 = ordinary_ring(3)
+        assert ZERO_MASK in prime_masks(z3)
+        assert axes_read(z3, read) == {"prime_mode": "relaxed"}
+
+    def test_idempotent_only_where_the_readings_split(self, z4, z6a):
+        def read(ctx, rd):
+            theorems._idempotents(ctx, rd)
+
+        # an ordinary ring's cells are singletons
+        assert axes_read(z4, read) == {}
+        # Z6 with A = {1, 5}: 1 o 1 = {1, 5}, and only 0 and 3 have
+        # singleton squares
+        assert z6a.hmul[1][1] == mask_of([1, 5])
+        assert axes_read(z6a, read) == {"idempotent": "weak"}
+        strict = Reading(idempotent="strict")
+        for ring, weak_only in ((z4, []), (z6a, [1, 2, 4, 5])):
+            ctx = RingContext(ring)
+            got = {rd.idempotent: theorems._idempotents(ctx, rd)
+                   for rd in (Reading(), strict)}
+            assert sorted(set(got["weak"]) - set(got["strict"])) == weak_only
+
+    def test_product_only_where_the_set_product_is_no_ideal(self, z4):
+        two = mask_of([0, 2])
+        assert set_product(z4, two, two) == ZERO_MASK
+        assert axes_read(z4, lambda ctx, rd: ctx.prod(rd, two, two)) == {}
+        # Z6 with A = {2, 3}: R o R = {0, 2, 3, 4}, not closed under +
+        ring = zn_with_products(6, (2, 3))
+        full = ring.carrier_mask
+        assert set_product(ring, full, full) == mask_of([0, 2, 3, 4])
+        assert axes_read(ring, lambda ctx, rd: ctx.prod(rd, full, full)) \
+            == {"product": "raw"}
+        ctx = RingContext(ring)
+        assert ctx.prod(Reading(product="closed"), full, full) == full
+
+    @pytest.mark.parametrize("tid", ["T15", "T16", "T17"])
+    def test_closed_subset_only_where_the_identity_is_alone(self, tid, z2):
+        # Z2 under nzd: the identity is the one regular element
+        assert z2.nzd == mask_of([1])
+        assert "closed_subset" in axes_read(z2, evaluated(tid))
+        assert "closed_subset" not in axes_read(ordinary_ring(5),
+                                                evaluated(tid))
+
+    def test_mult_subset_only_for_a_subset_not_all_regular(self, z6):
+        # in a field every zero-free subset is regular; in Z6, {1, 3} is
+        # multiplicatively closed, meets the regular elements and holds 3
+        assert "mult_subset" not in axes_read(ordinary_ring(5),
+                                              evaluated("T15"))
+        assert mask_of([1, 3]) in RingContext(z6).mult_closed_family()
+        assert "mult_subset" in axes_read(z6, evaluated("T15"))
+
+    @pytest.mark.parametrize("tid", ["T13", "T14"])
+    def test_regular_only_inside_a_cover(self, tid, z4):
+        ctx = RingContext(z4)
+        assert not any(ctx.irredundant_covers(i) for i in ctx.ideals())
+        assert axes_read(z4, evaluated(tid)) == {}
+        ring = local_ring_with_cover()
+        assert ring.identity == 1
+        # (x, y) = {0, x, y, x + y} and its three lines
+        covers = RingContext(ring).irredundant_covers(mask_of([0, 2, 4, 6]))
+        assert [sorted(map(elements_of, c)) for c in covers] == \
+            [[[0, 2], [0, 4], [0, 6]]]
+        assert axes_read(ring, evaluated(tid)) == {"regular": "nzd"}
+
+
 def t31_by_rescan(ctx):
     """T31 as it was written before its covers were built once per call:
     every cover union is rebuilt for each ideal, and the n-law is read
@@ -591,6 +699,45 @@ class TestSuite:
         assert report.counterexamples
         assert report.exit_status() == 1
         assert report.verdicts[-1].status == COUNTEREXAMPLE
+
+
+class TestSweepWork:
+    """The work of a default run is pinned: an axis read where its options
+    agree adds sweep evaluations, and a target searched twice adds hom
+    searches, without changing a verdict."""
+
+    # 3,608 cells, each evaluated once under the base reading, plus the
+    # sweep: under required, 1,394 standing=waived evaluations on the gated
+    # rings and 768 others
+    EVALUATIONS = {"required": 5_770, "waived": 5_823}
+
+    @pytest.mark.parametrize("standing", READING_AXES["standing"])
+    def test_evaluations_and_hom_searches(self, standing, default_corpus,
+                                          monkeypatch):
+        evaluations = 0
+        searches = Counter()
+        evaluate = theorems._evaluate
+        search = theorems.enumerate_good_homomorphisms
+
+        def counted_evaluate(*args):
+            nonlocal evaluations
+            evaluations += 1
+            return evaluate(*args)
+
+        def counted_search(source, target):
+            searches[source.name, target.name] += 1
+            return search(source, target)
+
+        monkeypatch.setattr(theorems, "_evaluate", counted_evaluate)
+        monkeypatch.setattr(theorems, "enumerate_good_homomorphisms",
+                            counted_search)
+        rings = default_corpus.rings
+        assert len({r.name for r in rings}) == len(rings)
+        run_suite(rings, reading=Reading(standing=standing))
+        assert evaluations == self.EVALUATIONS[standing]
+        # one search per (source, target) pair T35 reaches, under both bases
+        assert len(searches) == 1_425
+        assert set(searches.values()) == {1}
 
 
 def canonical_json(report, include_timings):
