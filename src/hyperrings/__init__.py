@@ -47,7 +47,6 @@ from .ideals import (
     ann,
     colon,
     enumerate_hyperideals,
-    generated_ideal,
     ideal_intersection,
     ideal_product,
     ideal_sum,
@@ -84,7 +83,6 @@ __all__ = [
     "enumerate_hyperideals",
     "fundamental_ring",
     "generate_corpus",
-    "generated_ideal",
     "hprod",
     "ideal_intersection",
     "ideal_product",

@@ -39,13 +39,6 @@ def mask_of(elements: Iterable[int]) -> int:
     return m
 
 
-def union_of(masks: Iterable[int]) -> int:
-    out = 0
-    for m in masks:
-        out |= m
-    return out
-
-
 def elements_of(mask: int) -> list[int]:
     return list(bits(mask))
 

@@ -13,7 +13,6 @@ from typing import NamedTuple, Optional
 
 from .bitsets import bits, is_subset, singleton, subset_key
 from .core import (
-    CapExceeded,
     HyperRing,
     HyperRingError,
     ZERO_MASK,
@@ -22,9 +21,6 @@ from .core import (
     power_orbit,
     set_sum,
 )
-
-PRODUCT_FAMILY_CAP = 4096
-
 
 class EmptySet(HyperRingError):
     """An operation that needs a nonempty subset received the empty one."""
@@ -102,10 +98,6 @@ def profile(ring: HyperRing, members: int, *, repaired: bool = False) -> IdealPr
     )
 
 
-def generated_ideal(ring: HyperRing, gens: int) -> IdealProfile:
-    return profile(ring, generated_ideal_mask(ring, gens))
-
-
 @cached_on_ring
 def principal_masks(ring: HyperRing) -> tuple[int, ...]:
     """``principal_masks(ring)[x]``: the hyperideal generated by x."""
@@ -152,8 +144,9 @@ def product_family(ring: HyperRing) -> tuple[int, ...]:
     Seeded with singletons (length-1 products) and closed under right
     multiplication by singletons, ``m o b``.  By associativity
     ``r1 o ... o rk = (r1 o ... o r(k-1)) o rk``, so this reaches the whole
-    family on any carrier, commutative or not.  Guarded by a size cap
-    because pathological tables can generate large sublattices.
+    family on any carrier, commutative or not.  Its members are distinct
+    nonempty masks, so there are at most ``2^n - 1`` of them; the largest
+    family on the default and small corpora has 92.
     """
     seen: set[int] = set(singleton(a) for a in range(ring.size))
     work = list(seen)
@@ -162,9 +155,6 @@ def product_family(ring: HyperRing) -> tuple[int, ...]:
         for b in range(ring.size):
             nxt = hprod(ring, m, singleton(b))
             if nxt not in seen:
-                if len(seen) >= PRODUCT_FAMILY_CAP:
-                    raise CapExceeded("product family size", len(seen) + 1,
-                                      PRODUCT_FAMILY_CAP)
                 seen.add(nxt)
                 work.append(nxt)
     return tuple(sorted(seen, key=subset_key))

@@ -2,12 +2,12 @@
 with an exhaustive runner over a corpus of finite hyperrings.
 
 Every registry entry instantiates its quantifiers exhaustively over the
-ring under test (ideals, elements, bounded families of subsets, covers by
-up to three ideals, and good homomorphisms between corpus members within a
-size cap) and returns one of three verdicts: ``holds``, ``counterexample``
-(with the lexicographically least witness), or ``not-applicable`` with a
-reason: the first of its ``HYPOTHESES`` the ring fails, or a ``CapExceeded``
-at run time (the standing gate's product family, T35's hom candidates).
+ring under test (ideals, elements, bounded families of subsets, irredundant
+covers by ideals of any size, and good homomorphisms between corpus members
+within a size cap) and returns one of three verdicts: ``holds``,
+``counterexample`` (with the lexicographically least witness), or
+``not-applicable`` with a reason: the first of its ``HYPOTHESES`` the ring
+fails, or a ``CapExceeded`` at run time (T35's hom candidates).
 
 Readings
 --------
@@ -43,7 +43,7 @@ from itertools import combinations
 from json.encoder import encode_basestring_ascii
 from typing import BinaryIO, Callable, NamedTuple, Optional
 
-from .bitsets import bits, elements_of, is_subset, singleton, subset_key, union_of
+from .bitsets import bits, elements_of, is_subset, singleton, subset_key
 from .core import (
     CapExceeded,
     HyperRing,
@@ -98,7 +98,6 @@ from .ideals import (
 
 GAMMA_CAP = 10  # carrier size up to which T40 builds the fundamental ring
 HOM_SIZE_CAP = 36
-COVER_MAX = 3
 
 HOLDS = "holds"
 COUNTEREXAMPLE = "counterexample"
@@ -189,14 +188,13 @@ class RingContext:
     carrier of any size.  ``r_ok`` and ``is_n`` read the r- and n-law of a
     hyperideal off those cached classes.
     Only registry-specific values are memoised here: the standing gate, the
-    candidate-subset families, colons, ideal products, the ideal covers
-    (listed once per ring) and the irredundant ones of each ideal, factor
-    witnesses, and T35's first failure on each target.  None of them depends
-    on a reading except through the axis value in its key, so every reading
-    and every entry shares them.  No key carries the ``product`` axis: an
-    ideal product is kept as its raw and closed forms together.  T35 keys
-    its targets by their position in the run, so a context serves the one
-    run whose suite lists its targets.
+    candidate-subset families, colons, ideal products, the irredundant
+    covers of each ideal, factor witnesses, and T35's first failure on each
+    target.  None of them depends on a reading except through the axis
+    value in its key, so every reading and every entry shares them.  No key
+    carries the ``product`` axis: an ideal product is kept as its raw and
+    closed forms together.  T35 keys its targets by their position in the
+    run, so a context serves the one run whose suite lists its targets.
 
     An axis is read only where its options differ on the ring
     (:meth:`primes`, :meth:`prod`, :meth:`lenient`), so an evaluation that
@@ -328,26 +326,44 @@ class RingContext:
             return None
         return self._memo(("factor", i_mask, meets), compute)
 
-    def covers(self) -> tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]:
-        """Each tuple of 2..COVER_MAX distinct ideals as ``(combo, union,
-        rests)``, where ``rests[t]`` is the union of the members other than
-        ``combo[t]``."""
-        def compute():
-            out = []
-            for k in range(2, COVER_MAX + 1):
-                for combo in combinations(self.ideals(), k):
-                    rests = tuple(union_of(combo[:t] + combo[t + 1:])
-                                  for t in range(k))
-                    out.append((combo, union_of(combo), rests))
-            return tuple(out)
-        return self._memo("covers", compute)
-
     def irredundant_covers(self, i_mask: int) -> tuple[tuple[int, ...], ...]:
-        """The covers of ``i_mask`` with no member removable."""
-        return self._memo(("covers", i_mask), lambda: tuple(
-            combo for combo, union, rests in self.covers()
-            if is_subset(i_mask, union)
-            and not any(is_subset(i_mask, rest) for rest in rests)))
+        """Every family of two or more ideals whose union contains
+        ``i_mask`` and from which no member can be dropped, by size and then
+        in combination order.
+
+        A member can be dropped exactly when its trace on I has no private
+        point, one that no other member holds.  Every ideal holds 0, so a
+        member meets I outside {0}, and none contains I (the others could
+        all be dropped): only such ideals are candidates.  Adding a member
+        only shrinks the private sets, so a branch of the depth-first search
+        ends as soon as some member has none.  A member added once I is
+        covered has none, so a family is recorded when it covers I and
+        grows no further.  The search thus meets each irredundant cover of
+        any size once.
+        """
+        def compute() -> tuple[tuple[int, ...], ...]:
+            candidates = [m for m in self.ideals()
+                          if m & i_mask & ~ZERO_MASK
+                          and not is_subset(i_mask, m)]
+            found: list[tuple[int, ...]] = []
+
+            # once and many: the points of I held by one member, by several
+            def grow(family, once, many, start):
+                for j in range(start, len(candidates)):
+                    grown = family + (candidates[j],)
+                    trace = candidates[j] & i_mask
+                    now_many = many | once & trace
+                    now_once = (once | trace) & ~now_many
+                    if any(not m & now_once for m in grown):
+                        continue
+                    if now_once | now_many == i_mask:
+                        found.append(grown)
+                    else:
+                        grow(grown, now_once, now_many, j + 1)
+
+            grow((), 0, 0, 0)
+            return tuple(sorted(found, key=len))
+        return self._memo(("covers", i_mask), compute)
 
     # -- bounded subset families ---------------------------------------------
     def mult_closed_family(self) -> tuple[int, ...]:
@@ -414,15 +430,9 @@ class RingContext:
 
 
 def _standing(ctx: RingContext, rd: Reading) -> Optional[str]:
-    """The standing gate: a ring that meets it does not read the axis, and
-    one whose product family exceeds its cap is gated only under required."""
-    try:
-        if ctx.standing_ok() or rd.standing == "waived":
-            return None
-    except CapExceeded:
-        if rd.standing == "waived":
-            return None
-        raise
+    """The standing gate: a ring that meets it does not read the axis."""
+    if ctx.standing_ok() or rd.standing == "waived":
+        return None
     return "standing assumption violated: some hyperideal is not a C-hyperideal"
 
 
@@ -1062,23 +1072,20 @@ def _t30(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
        "and the others have no nonzero nilpotent members, and the n-member "
        "cannot be dropped, the ideal lies in the n-member.")
 def _t31(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
-    all_ideals = ctx.ideals()
     n_class = set(ctx.n_class())
-    nil_free = {m for m in all_ideals if not m & ctx.ring.nilpotent & ~ZERO_MASK}
-    # a cover's candidate n-members do not depend on I: read each cover once
-    covers = []
-    for combo, union, rests in ctx.covers():
-        targets = [(target, rests[t]) for t, target in enumerate(combo)
-                   if target in n_class
-                   and nil_free.issuperset(combo[:t] + combo[t + 1:])]
-        if targets:
-            covers.append((combo, union, targets))
-    for i_mask in all_ideals:
-        for combo, union, targets in covers:
-            if not is_subset(i_mask, union):
-                continue
-            for target, rest in targets:
-                if not is_subset(i_mask, rest) and not is_subset(i_mask, target):
+    nil = ctx.ring.nilpotent & ~ZERO_MASK
+    # The irredundant covers decide T31 as the covers of any size would.  In
+    # a counterexample family F with n-member T, a least subfamily that
+    # holds T and covers I is one: no other member can be dropped from it,
+    # by leastness, and neither can T, since the union of the others lies in
+    # the union of F's members other than T, which does not contain I.
+    for i_mask in ctx.ideals():
+        for combo in ctx.irredundant_covers(i_mask):
+            for t, target in enumerate(combo):
+                if target not in n_class or any(
+                        m & nil for u, m in enumerate(combo) if u != t):
+                    continue
+                if not is_subset(i_mask, target):
                     return _ce(ideal_set=i_mask,
                                cover=[elements_of(m) for m in combo],
                                n_member_set=target)
