@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 import tracemalloc
 from collections import Counter
 from importlib import resources
@@ -30,12 +31,15 @@ from hyperrings.construct import (
     QuotientImage,
     SubringImage,
     direct_product,
+    enumerate_good_homomorphisms,
     quotient,
+    subhyperring_restrict,
 )
 from hyperrings.ideals import (
     ann,
     hyperideal_masks,
     ideal_product,
+    is_hyperideal,
     prime_masks,
     radical,
     set_product,
@@ -714,16 +718,18 @@ class TestSweepWork:
 
     # 3,608 cells, each evaluated once under the base reading, plus the
     # sweep: under required, 1,394 standing=waived evaluations on the gated
-    # rings and 768 others
-    EVALUATIONS = {"required": 5_770, "waived": 5_823}
+    # rings and 757 others
+    EVALUATIONS = {"required": 5_759, "waived": 5_812}
 
     @pytest.mark.parametrize("standing", READING_AXES["standing"])
     def test_evaluations_and_hom_searches(self, standing, default_corpus,
                                           monkeypatch):
         evaluations = 0
         searches = Counter()
+        quotients = 0
         evaluate = theorems._evaluate
         search = theorems.enumerate_good_homomorphisms
+        build = theorems.quotient
 
         def counted_evaluate(*args):
             nonlocal evaluations
@@ -734,16 +740,186 @@ class TestSweepWork:
             searches[source.name, target.name] += 1
             return search(source, target)
 
+        def counted_quotient(*args):
+            nonlocal quotients
+            quotients += 1
+            return build(*args)
+
         monkeypatch.setattr(theorems, "_evaluate", counted_evaluate)
         monkeypatch.setattr(theorems, "enumerate_good_homomorphisms",
                             counted_search)
+        monkeypatch.setattr(theorems, "quotient", counted_quotient)
         rings = default_corpus.rings
         assert len({r.name for r in rings}) == len(rings)
         run_suite(rings, reading=Reading(standing=standing))
         assert evaluations == self.EVALUATIONS[standing]
-        # one search per (source, target) pair T35 reaches, under both bases
-        assert len(searches) == 1_425
+        # one search per (source, target) pair T35 reaches, under both bases;
+        # a pair whose sizes neither divide each other is not searched
+        assert len(searches) == 661
         assert set(searches.values()) == {1}
+        # T36 builds R/J only for a J with some I whose image it reads, and
+        # reads R/{0} through R's own context
+        assert quotients == 33
+
+
+def relabelled(ring, seed):
+    """The ring with its nonzero labels permuted by a seeded shuffle, 0
+    fixed."""
+    n = ring.size
+    perm = [0] + random.Random(f"relabel:{seed}").sample(range(1, n), n - 1)
+    add = [[0] * n for _ in range(n)]
+    hmul = [[[]] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            add[perm[a]][perm[b]] = perm[ring.add[a][b]]
+            hmul[perm[a]][perm[b]] = sorted(perm[x]
+                                            for x in elements_of(ring.hmul[a][b]))
+    return validate_hyperring(ring.name, add, hmul,
+                              require_commutative=ring.commutative)
+
+
+def eager_t36(ctx, rd, suite):
+    """T36 with every R/J built, each with a fresh context, and every I
+    containing J checked: the oracle for the structures ``_t36`` skips."""
+    rad = ctx.rad0()
+    for j_mask in ctx.proper():
+        q = quotient(ctx.ring, j_mask)
+        qctx = RingContext(q.ring)
+        for i_mask in ctx.proper():
+            if not is_subset(j_mask, i_mask):
+                continue
+            img = q.image_mask(i_mask)
+            img_is_n = img != q.ring.carrier_mask \
+                and is_hyperideal(q.ring, img) and qctx.is_n(img)
+            if ctx.is_n(i_mask) and not img_is_n:
+                return theorems._ce(part=1, ideal_set=i_mask, by_set=j_mask,
+                                    image=elements_of(img))
+            if img_is_n and is_subset(j_mask, rad) and not ctx.is_n(i_mask):
+                return theorems._ce(part=2, ideal_set=i_mask, by_set=j_mask)
+            if img_is_n and ctx.is_n(j_mask) and not ctx.is_n(i_mask):
+                return theorems._ce(part=3, ideal_set=i_mask, by_set=j_mask)
+    return HOLDS, None
+
+
+def radical_rings():
+    """Rings with identity whose radical of zero is not {0}."""
+    return [ordinary_ring(4), ordinary_ring(8), ordinary_ring(9),
+            local_ring_with_cover(), local_ring_with_cover(3)]
+
+
+class TestDerivedShortcuts:
+    """T35, T36 and T38 skip the derived structures no instance of their
+    quantifiers reads, and read those with the ring's own tables through
+    its context; each ring decides each hypothesis tuple once."""
+
+    @pytest.mark.parametrize("standing", READING_AXES["standing"])
+    @pytest.mark.parametrize("corpus", ["default", "small", "radical"])
+    def test_t36_matches_the_eager_loop(self, corpus, standing,
+                                        default_corpus, small_corpus):
+        rings = {"default": default_corpus.rings, "small": small_corpus,
+                 "radical": radical_rings()}[corpus]
+        if corpus == "radical":
+            assert all(RingContext(r).rad0() != ZERO_MASK for r in rings)
+        contexts = [RingContext(r) for r in rings]
+        suite = theorems.Suite(contexts)
+        entry = REGISTRY_BY_ID["T36"]
+        eager = dataclasses.replace(entry, checker=eager_t36)
+        rd = Reading(standing=standing)
+        checked = 0
+        for ctx in contexts:
+            got = theorems._evaluate(entry, ctx, rd, suite)
+            assert got == theorems._evaluate(eager, ctx, rd, suite), \
+                ctx.ring.name
+            checked += got[0] != NOT_APPLICABLE
+        assert checked
+
+    def test_t36_skips_only_what_no_part_reads(self, default_corpus,
+                                               small_corpus, monkeypatch):
+        """T36 holds on every ring above, so they cannot tell a skipped
+        instance that fails.  With an n-law that is a pseudo-random function
+        of the tables, T36 fails, and the shortcut's first witness is still
+        the eager loop's: the skips rest on the shape of the three parts,
+        and R/{0} on having R's tables, not on the n-law being true."""
+        entry = REGISTRY_BY_ID["T36"]
+        eager = dataclasses.replace(entry, checker=eager_t36)
+        rd = Reading(standing="waived")
+        parts = Counter()
+        for salt in range(2):
+            def arbitrary_n_law(ctx, members):
+                # a tuple of ints hashes alike in every process
+                return hash((salt, ctx.ring.table_key(), members)) % 2 == 0
+
+            monkeypatch.setattr(RingContext, "is_n", arbitrary_n_law)
+            for ring in [*default_corpus.rings, *small_corpus,
+                         *radical_rings()]:
+                ctx = RingContext(ring)
+                suite = theorems.Suite([ctx])
+                got = theorems._evaluate(entry, ctx, rd, suite)
+                assert got == theorems._evaluate(eager, ctx, rd, suite), \
+                    (salt, ring.name)
+                if got[0] == COUNTEREXAMPLE:
+                    parts[got[1]["part"]] += 1
+        assert set(parts) == {1, 2, 3}
+
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    @pytest.mark.parametrize("corpus", ["default", "small"])
+    def test_derived_rings_with_the_ring_tables(self, corpus, seed,
+                                                default_corpus, small_corpus):
+        rings = default_corpus.rings if corpus == "default" else small_corpus
+        if seed is not None:
+            rings = [relabelled(r, seed) for r in rings]
+        zero_ideal = 0
+        for ring in rings:
+            identity = tuple(range(ring.size))
+            if is_hyperideal(ring, ZERO_MASK):
+                zero_ideal += 1
+                q = quotient(ring, ZERO_MASK)
+                assert q.ring.table_key() == ring.table_key(), ring.name
+                assert q.projection == identity, ring.name
+            sub = subhyperring_restrict(ring, ring.carrier_mask)
+            assert sub.ring.table_key() == ring.table_key(), ring.name
+            assert sub.embedding == identity, ring.name
+        assert zero_ideal
+
+    def test_skipped_targets_have_no_hom_t35_reads(self, default_corpus):
+        """Lagrange: an injective hom needs |R| to divide |S| and a
+        surjective one |S| to divide |R|."""
+        rings = default_corpus.rings
+        skipped = 0
+        for src in rings:
+            for dst in rings:
+                if src.size * dst.size > theorems.HOM_SIZE_CAP \
+                        or not (dst.size % src.size and src.size % dst.size):
+                    continue
+                skipped += 1
+                for hom in enumerate_good_homomorphisms(src, dst):
+                    assert not hom.injective and not hom.surjective, \
+                        (src.name, dst.name)
+        assert skipped
+
+    @pytest.mark.parametrize("corpus", ["default", "small"])
+    def test_hypothesis_memo_matches_the_scan(self, corpus, default_corpus,
+                                              small_corpus):
+        rings = default_corpus.rings if corpus == "default" else small_corpus
+        reads = Counter()
+        for order in (READING_AXES["standing"],
+                      READING_AXES["standing"][::-1]):
+            for ring in rings:
+                memo, scan = RingContext(ring), RingContext(ring)
+                for entry in REGISTRY:
+                    names = theorems.SHARED_HYPOTHESES + entry.hypotheses
+                    for standing in order:
+                        got = theorems._RecordingReading(
+                            Reading(standing=standing))
+                        want = theorems._RecordingReading(
+                            Reading(standing=standing))
+                        assert memo.unmet(names, got) == \
+                            theorems._unmet(names, scan, want), \
+                            (entry.tid, ring.name, standing)
+                        assert got.axes_read() == want.axes_read()
+                        reads[bool(got.axes_read())] += 1
+        # the memo both reads the standing axis and leaves it unread
+        assert reads[True] and reads[False]
 
 
 def canonical_json(report, include_timings):
