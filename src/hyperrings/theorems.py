@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from io import BytesIO
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
-from typing import BinaryIO, Callable, ItemsView, NamedTuple, Optional
+from typing import BinaryIO, Callable, NamedTuple, Optional
 
 from .bitsets import bits, elements_of, is_subset, singleton, subset_key
 from .core import (
@@ -72,8 +72,6 @@ from .classifiers import (
     regular_mask,
 )
 from .construct import (
-    QuotientImage,
-    SubringImage,
     classical_n_ideal,
     enumerate_good_homomorphisms,
     fundamental_ring,
@@ -190,23 +188,19 @@ class RingContext:
     carrier of any size.  ``r_ok`` and ``is_n`` read the r- and n-law of a
     hyperideal off those cached classes.
     Only registry-specific values are memoised here: the standing gate, the
-    first unmet hypothesis of each tuple of names, the candidate-subset
-    families, colons, ideal products, the irredundant covers of each ideal,
-    factor witnesses, and T35's first failure on each target.  None of
-    them depends on a reading except through the axis value in its key, so
-    every reading and every entry shares them.  No key carries the
-    ``product`` or the ``standing`` axis: an ideal product is kept as its
-    raw and closed forms together, and the hypotheses under both
-    ``standing`` readings.  T35 keys its targets by their position in the
+    candidate-subset families, colons, ideal products, the irredundant
+    covers of each ideal, factor witnesses, and T35's first failure on each
+    target.  None of them depends on a reading except through the axis
+    value in its key, so every reading and every entry shares them.  No key
+    carries the ``product`` axis: an ideal product is kept as its raw and
+    closed forms together.  T35 keys its targets by their position in the
     run, so a context serves the one run whose suite lists its targets.
 
     An axis is read only where its options differ on the ring
     (:meth:`primes`, :meth:`prod`, :meth:`lenient`), so an evaluation that
     skips the read is also the evaluation of the other option, and the
     sweep reuses its status.  Derived rings are built by the checker that
-    reads them, once per evaluation, and are dropped with it; one with the
-    ring's own tables (R/{0}, the whole-carrier subring) is read through
-    this context.
+    reads them, once per evaluation, and are dropped with it.
     """
 
     def __init__(self, ring: HyperRing):
@@ -244,24 +238,6 @@ class RingContext:
         """Whether every proper hyperideal is a C-hyperideal."""
         return self._memo("standing", lambda: all(
             is_C_hyperideal(self.ring, m) for m in self.proper()))
-
-    def unmet(self, names: tuple[str, ...], rd: Reading) -> Optional[str]:
-        """:func:`_unmet`, with each tuple of names decided once.  Only the
-        standing gate reads the reading, and only on a ring that fails it,
-        so the scan is kept under ``standing=required`` and, where it reads
-        the axis, under ``waived`` too; ``rd.standing`` is read exactly
-        where the scan reads it."""
-        def compute() -> tuple[bool, Optional[str], Optional[str]]:
-            required = _RecordingReading(Reading(standing="required"))
-            reason = _unmet(names, self, required)
-            if "standing" not in required.axes_read():
-                return False, reason, reason
-            return True, reason, _unmet(names, self,
-                                        Reading(standing="waived"))
-        reads, required, waived = self._memo(("unmet", names), compute)
-        if reads and rd.standing == "waived":
-            return waived
-        return required
 
     # -- element sets -------------------------------------------------------
     def reg(self, rd: Reading) -> int:
@@ -460,8 +436,6 @@ def _standing(ctx: RingContext, rd: Reading) -> Optional[str]:
     return "standing assumption violated: some hyperideal is not a C-hyperideal"
 
 
-# No test reads an axis but ``standing``: RingContext.unmet keeps one scan
-# per tuple of names for each standing reading.
 HYPOTHESES: dict[str, Callable[[RingContext, Reading], Optional[str]]] = {
     "identity": lambda ctx, rd: "no identity" if ctx.e is None else None,
     "commutative": lambda ctx, rd: (
@@ -484,8 +458,7 @@ SHARED_HYPOTHESES = ("identity", "commutative", "standing")
 
 
 def _unmet(names: tuple[str, ...], ctx: RingContext, rd: Reading) -> Optional[str]:
-    """The reason of the first of ``names`` the ring fails, or None: the
-    scan that :meth:`RingContext.unmet` keeps once per ring."""
+    """The reason of the first of ``names`` the ring fails, or None."""
     for name in names:
         reason = HYPOTHESES[name](ctx, rd)
         if reason is not None:
@@ -516,31 +489,19 @@ class Suite:
 
     def __init__(self, contexts: list[RingContext]):
         self.contexts = contexts
-        self._alternates: dict[tuple, list[tuple[Reading, str, ItemsView]]] = {}
-        self._readings: dict[tuple, dict[str, str]] = {}
+        self._alternates: dict[tuple, list[tuple[Reading, str]]] = {}
         self._shared: dict[tuple, dict] = {}
 
     def alternates(self, axes: tuple[str, ...],
-                   base: Reading) -> list[tuple[Reading, str, ItemsView]]:
+                   base: Reading) -> list[tuple[Reading, str]]:
         """The readings other than ``base`` that vary it on ``axes``, each
-        with its label and its (axis, value) items; computed once per run
-        for each (axes, base)."""
+        with its label; computed once per run for each (axes, base)."""
         key = (axes, base)
         if key not in self._alternates:
-            self._alternates[key] = [(rd, rd.label(axes), rd._asdict().items())
+            self._alternates[key] = [(rd, rd.label(axes))
                                      for rd in _reading_combos(axes, base)
                                      if rd != base]
         return self._alternates[key]
-
-    def readings(self, axes: tuple[str, ...], base: Reading) -> dict[str, str]:
-        """The shared ``readings`` dict of a cell on ``axes`` under
-        ``base``; built once per run for each (axes, base)."""
-        key = (axes, base)
-        out = self._readings.get(key)
-        if out is None:
-            out = self._readings[key] = self.shared(
-                tuple((a, getattr(base, a)) for a in sorted(axes)))
-        return out
 
     def shared(self, items: tuple) -> dict:
         """The one dict of ``items`` for the whole run.  Verdicts hold it,
@@ -1194,7 +1155,7 @@ def _t35(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
             continue
         if dst.size % src.size and src.size % dst.size:
             continue
-        if dst.unmet(SHARED_HYPOTHESES, rd) is not None:
+        if _unmet(SHARED_HYPOTHESES, dst, rd) is not None:
             continue
         # a target's failure does not depend on the reading, so the standing
         # sweep searches only the targets its other reading skipped
@@ -1239,24 +1200,20 @@ def _t36(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
     """Each part reads the image of I in R/J only where I is an n-ideal,
     J lies in r(0), or J is an n-ideal; at any other I containing J no
     part can fail.  So R/J is built only for a J with some I that it reads.
-    The cosets of {0} are singletons ordered by their least member, so
-    R/{0} has R's tables: it is read through R's own context and the
-    identity projection."""
+    J = {0} is skipped: the projection onto R/{0} is an isomorphism, so the
+    image of I is an n-ideal exactly when I is, and no part can fail."""
     rad = ctx.rad0()
     proper = ctx.proper()
     for j_mask in proper:
+        if j_mask == ZERO_MASK:
+            continue  # R/{0} is R: every part is vacuous
         lifts = is_subset(j_mask, rad) or ctx.is_n(j_mask)
         read = [i for i in proper
                 if is_subset(j_mask, i) and (lifts or ctx.is_n(i))]
         if not read:
             continue
-        if j_mask == ZERO_MASK:
-            q = QuotientImage(ctx.ring, tuple(range(ctx.size)),
-                              ctx.ring.name, ZERO_MASK)
-            qctx = ctx
-        else:
-            q = quotient(ctx.ring, j_mask)
-            qctx = RingContext(q.ring)
+        q = quotient(ctx.ring, j_mask)
+        qctx = RingContext(q.ring)
         for i_mask in read:
             img = q.image_mask(i_mask)
             img_is_n = img != q.ring.carrier_mask \
@@ -1296,12 +1253,9 @@ def _t38(ctx: RingContext, rd: Reading, suite: Suite) -> CheckResult:
         return HOLDS, None
     for t_mask in subhyperring_masks(ctx.ring):
         if t_mask == ctx.ring.carrier_mask:
-            # the restriction to the carrier has R's tables
-            sub = SubringImage(ctx.ring, tuple(range(ctx.size)))
-            subctx = ctx
-        else:
-            sub = subhyperring_restrict(ctx.ring, t_mask)
-            subctx = RingContext(sub.ring)
+            continue  # the trace on R is the n-ideal itself: vacuous
+        sub = subhyperring_restrict(ctx.ring, t_mask)
+        subctx = RingContext(sub.ring)
         for i_mask in ctx.n_class():
             if is_subset(t_mask, i_mask):
                 continue
@@ -1385,7 +1339,7 @@ class TheoremVerdict(NamedTuple):
 def _evaluate(entry_: TheoremEntry, ctx: RingContext, rd: Reading,
               suite: Suite) -> CheckResult:
     try:
-        reason = ctx.unmet(SHARED_HYPOTHESES + entry_.hypotheses, rd)
+        reason = _unmet(SHARED_HYPOTHESES + entry_.hypotheses, ctx, rd)
         if reason is not None:
             return NOT_APPLICABLE, {"reason": reason}
         return entry_.checker(ctx, rd, suite)
@@ -1431,14 +1385,16 @@ def run_theorem(entry_: TheoremEntry, ring: HyperRing,
         # an evaluation depends on the reading only through the axes it
         # read, so a reading that agrees with an earlier one on all of them
         # takes that earlier status
-        evaluated = [(recorded.axes_read().items(), status)]
-        for combo, label, items in sweep.alternates(axes, rd):
-            alt_status = next((done for read, done in evaluated
-                               if read <= items), None)
+        evaluated = [(recorded.axes_read(), status)]
+        for combo, label in sweep.alternates(axes, rd):
+            alt_status = next(
+                (done for read, done in evaluated
+                 if all(getattr(combo, a) == v for a, v in read.items())),
+                None)
             if alt_status is None:
                 recorded = _RecordingReading(combo)
                 alt_status, _ = _evaluate(entry_, ctx, recorded, sweep)
-                evaluated.append((recorded.axes_read().items(), alt_status))
+                evaluated.append((recorded.axes_read(), alt_status))
             reading_results.append((label, alt_status))
             # sensitive: some non-default reading flips between a decided
             # verdict and a counterexample
@@ -1454,7 +1410,7 @@ def run_theorem(entry_: TheoremEntry, ring: HyperRing,
         ring=ring.name,
         status=status,
         witness=witness,
-        readings=sweep.readings(axes, rd),
+        readings=sweep.shared(tuple((a, getattr(rd, a)) for a in sorted(axes))),
         reading_results=sweep.shared(tuple(reading_results)),
         reading_sensitive=sensitive,
         reverified=reverified,

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import random
 import tracemalloc
 from collections import Counter
 from importlib import resources
@@ -33,7 +32,6 @@ from hyperrings.construct import (
     direct_product,
     enumerate_good_homomorphisms,
     quotient,
-    subhyperring_restrict,
 )
 from hyperrings.ideals import (
     ann,
@@ -757,25 +755,9 @@ class TestSweepWork:
         # a pair whose sizes neither divide each other is not searched
         assert len(searches) == 661
         assert set(searches.values()) == {1}
-        # T36 builds R/J only for a J with some I whose image it reads, and
-        # reads R/{0} through R's own context
+        # T36 builds R/J only for a J other than {0} with some I whose
+        # image it reads
         assert quotients == 33
-
-
-def relabelled(ring, seed):
-    """The ring with its nonzero labels permuted by a seeded shuffle, 0
-    fixed."""
-    n = ring.size
-    perm = [0] + random.Random(f"relabel:{seed}").sample(range(1, n), n - 1)
-    add = [[0] * n for _ in range(n)]
-    hmul = [[[]] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            add[perm[a]][perm[b]] = perm[ring.add[a][b]]
-            hmul[perm[a]][perm[b]] = sorted(perm[x]
-                                            for x in elements_of(ring.hmul[a][b]))
-    return validate_hyperring(ring.name, add, hmul,
-                              require_commutative=ring.commutative)
 
 
 def eager_t36(ctx, rd, suite):
@@ -808,9 +790,8 @@ def radical_rings():
 
 
 class TestDerivedShortcuts:
-    """T35, T36 and T38 skip the derived structures no instance of their
-    quantifiers reads, and read those with the ring's own tables through
-    its context; each ring decides each hypothesis tuple once."""
+    """T35, T36 and T38 skip the derived structures where no instance of
+    their quantifiers can fail."""
 
     @pytest.mark.parametrize("standing", READING_AXES["standing"])
     @pytest.mark.parametrize("corpus", ["default", "small", "radical"])
@@ -839,7 +820,9 @@ class TestDerivedShortcuts:
         instance that fails.  With an n-law that is a pseudo-random function
         of the tables, T36 fails, and the shortcut's first witness is still
         the eager loop's: the skips rest on the shape of the three parts,
-        and R/{0} on having R's tables, not on the n-law being true."""
+        not on the n-law being true.  Under this law R/{0} is still vacuous
+        because ``quotient`` gives it R's tables and the identity
+        projection."""
         entry = REGISTRY_BY_ID["T36"]
         eager = dataclasses.replace(entry, checker=eager_t36)
         rd = Reading(standing="waived")
@@ -861,26 +844,6 @@ class TestDerivedShortcuts:
                     parts[got[1]["part"]] += 1
         assert set(parts) == {1, 2, 3}
 
-    @pytest.mark.parametrize("seed", [None, 1, 2])
-    @pytest.mark.parametrize("corpus", ["default", "small"])
-    def test_derived_rings_with_the_ring_tables(self, corpus, seed,
-                                                default_corpus, small_corpus):
-        rings = default_corpus.rings if corpus == "default" else small_corpus
-        if seed is not None:
-            rings = [relabelled(r, seed) for r in rings]
-        zero_ideal = 0
-        for ring in rings:
-            identity = tuple(range(ring.size))
-            if is_hyperideal(ring, ZERO_MASK):
-                zero_ideal += 1
-                q = quotient(ring, ZERO_MASK)
-                assert q.ring.table_key() == ring.table_key(), ring.name
-                assert q.projection == identity, ring.name
-            sub = subhyperring_restrict(ring, ring.carrier_mask)
-            assert sub.ring.table_key() == ring.table_key(), ring.name
-            assert sub.embedding == identity, ring.name
-        assert zero_ideal
-
     def test_skipped_targets_have_no_hom_t35_reads(self, default_corpus):
         """Lagrange: an injective hom needs |R| to divide |S| and a
         surjective one |S| to divide |R|."""
@@ -896,30 +859,6 @@ class TestDerivedShortcuts:
                     assert not hom.injective and not hom.surjective, \
                         (src.name, dst.name)
         assert skipped
-
-    @pytest.mark.parametrize("corpus", ["default", "small"])
-    def test_hypothesis_memo_matches_the_scan(self, corpus, default_corpus,
-                                              small_corpus):
-        rings = default_corpus.rings if corpus == "default" else small_corpus
-        reads = Counter()
-        for order in (READING_AXES["standing"],
-                      READING_AXES["standing"][::-1]):
-            for ring in rings:
-                memo, scan = RingContext(ring), RingContext(ring)
-                for entry in REGISTRY:
-                    names = theorems.SHARED_HYPOTHESES + entry.hypotheses
-                    for standing in order:
-                        got = theorems._RecordingReading(
-                            Reading(standing=standing))
-                        want = theorems._RecordingReading(
-                            Reading(standing=standing))
-                        assert memo.unmet(names, got) == \
-                            theorems._unmet(names, scan, want), \
-                            (entry.tid, ring.name, standing)
-                        assert got.axes_read() == want.axes_read()
-                        reads[bool(got.axes_read())] += 1
-        # the memo both reads the standing axis and leaves it unread
-        assert reads[True] and reads[False]
 
 
 def canonical_json(report, include_timings):
