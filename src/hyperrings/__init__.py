@@ -12,26 +12,20 @@ from .core import (
     AxiomViolation,
     CapExceeded,
     DimensionMismatch,
-    ElementFlags,
     EmptyHyperproduct,
     HyperRing,
     HyperRingError,
     NoIdentity,
     RingFlags,
     classify_ring,
-    element_predicates,
     hprod,
-    power_of_element,
     validate_hyperring,
 )
 from .classifiers import (
     classify_ideal,
     is_essential,
     is_n_hyperideal,
-    is_prime,
     is_primary,
-    is_r_hyperideal,
-    maximal_disjoint_ideal,
 )
 from .construct import (
     check_good_homomorphism,
@@ -47,7 +41,6 @@ from .ideals import (
     ann,
     colon,
     enumerate_hyperideals,
-    ideal_intersection,
     ideal_product,
     ideal_sum,
     is_C_hyperideal,
@@ -63,7 +56,6 @@ __all__ = [
     "CapExceeded",
     "CorpusSpec",
     "DimensionMismatch",
-    "ElementFlags",
     "EmptyHyperproduct",
     "FileFormatError",
     "HyperRing",
@@ -79,26 +71,20 @@ __all__ = [
     "classify_ring",
     "colon",
     "direct_product",
-    "element_predicates",
     "enumerate_hyperideals",
     "fundamental_ring",
     "generate_corpus",
     "hprod",
-    "ideal_intersection",
     "ideal_product",
     "ideal_sum",
     "is_C_hyperideal",
     "is_essential",
     "is_hyperideal",
     "is_n_hyperideal",
-    "is_prime",
     "is_primary",
-    "is_r_hyperideal",
     "load_ring",
     "matrix_hyperring",
-    "maximal_disjoint_ideal",
     "ordinary_ring",
-    "power_of_element",
     "quotient",
     "radical",
     "radical_via_powers",

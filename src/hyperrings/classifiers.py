@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .bitsets import is_subset, singleton, subset_key
+from .bitsets import is_subset, singleton
 from .core import (
     HyperRing,
     HyperRingError,
@@ -29,14 +29,11 @@ from .core import (
     hprod,
 )
 from .ideals import (
-    IdealProfile,
     hyperideal_masks,
     is_C_hyperideal,
     law_witness,
-    prime_condition_holds,
     prime_masks,
     prime_witness,
-    profile,
     radical,
     zero_radical,
 )
@@ -60,14 +57,6 @@ def regular_mask(ring: HyperRing, notion: str = REGULAR_NZD) -> int:
     raise ValueError(f"unknown regular-element notion {notion!r}")
 
 
-def is_prime(ring: HyperRing, members: int, mode: str = MODE_RELAXED) -> bool:
-    if members == ring.carrier_mask:
-        return False
-    if mode == MODE_STRICT and members == ZERO_MASK:
-        return False
-    return prime_condition_holds(ring, members)
-
-
 def primary_witness(ring: HyperRing, members: int) -> Optional[tuple[int, int]]:
     """Least (x, y) with x outside the ideal, y outside its radical and
     ``x o y`` inside the ideal."""
@@ -84,29 +73,17 @@ def is_primary(ring: HyperRing, members: int, mode: str = MODE_RELAXED) -> bool:
     return primary_witness(ring, members) is None
 
 
-def r_witness(ring: HyperRing, members: int,
-              regular: str = REGULAR_NZD) -> Optional[tuple[int, int]]:
-    """Least (x, y) with x regular, ``x o y`` inside the ideal, y outside."""
-    return law_witness(ring, members, regular_mask(ring, regular),
-                       ring.carrier_mask & ~members)
+def r_witness(ring: HyperRing, members: int) -> Optional[tuple[int, int]]:
+    """Least (x, y) with x a non-zero-divisor, ``x o y`` inside the ideal
+    and y outside it."""
+    return law_witness(ring, members, ring.nzd, ring.carrier_mask & ~members)
 
 
-def r_closure_holds(ring: HyperRing, members: int,
-                    regular: str = REGULAR_NZD) -> bool:
-    return r_witness(ring, members, regular) is None
-
-
-def is_r_hyperideal(ring: HyperRing, members: int, mode: str = MODE_RELAXED,
-                    regular: str = REGULAR_NZD) -> bool:
+def r_closure_holds(ring: HyperRing, members: int) -> bool:
     """r-law: ``x o y`` inside I with x a non-zero-divisor forces y into I.
-
-    The defining law does not mention properness, so the relaxed mode
-    classifies the full carrier as (vacuously) r; strict mode requires a
-    proper ideal.
-    """
-    if mode == MODE_STRICT and members == ring.carrier_mask:
-        return False
-    return r_closure_holds(ring, members, regular)
+    The law does not mention properness, so it holds (vacuously) on the
+    full carrier."""
+    return r_witness(ring, members) is None
 
 
 def n_witness(ring: HyperRing, members: int) -> Optional[tuple[int, int]]:
@@ -244,15 +221,6 @@ def maximal_disjoint_masks(ring: HyperRing, subset: int,
         if is_subset(seed, m) and not m & subset)))
 
 
-def maximal_disjoint_ideal(ring: HyperRing, subset: int,
-                           seed: int) -> IdealProfile:
-    """Deterministic representative (canonical-least) maximal disjoint ideal."""
-    options = maximal_disjoint_masks(ring, subset, seed)
-    if not options:
-        raise NotDisjoint("no hyperideal contains the seed and avoids the subset")
-    return profile(ring, min(options, key=subset_key))
-
-
 class ClassificationFlags(NamedTuple):
     prime: bool
     primary: bool
@@ -265,14 +233,14 @@ class ClassificationFlags(NamedTuple):
     witnesses: tuple[tuple[str, tuple[int, int]], ...]
 
 
-def classify_ideal(ring: HyperRing, members: int, mode: str = MODE_RELAXED,
-                   regular: str = REGULAR_NZD) -> ClassificationFlags:
+def classify_ideal(ring: HyperRing, members: int,
+                   mode: str = MODE_RELAXED) -> ClassificationFlags:
     """Every flag of one ideal; each law is scanned once, for its witness,
     and its flag is read off that witness."""
     proper = members != ring.carrier_mask
     strict = mode == MODE_STRICT
     prime_w = prime_witness(ring, members) if proper else None
-    r_w = r_witness(ring, members, regular)
+    r_w = r_witness(ring, members)
     n_w = n_witness(ring, members) if proper else None
     witnesses = tuple((name, w) for name, w in (
         ("prime", prime_w), ("r_ideal", r_w), ("n_ideal", n_w)) if w is not None)

@@ -44,7 +44,7 @@ from .core import (
 )
 from .ideals import generated_ideal_mask, is_hyperideal
 
-MATRIX_CARRIER_CAP = 16  # the default bound on the |R|^(n*n) matrix carrier
+MATRIX_CARRIER_CAP = 16  # the bound on the |R|^(n*n) matrix carrier
 HOM_CANDIDATE_CAP = 65536  # raw generator assignments one hom search may try
 
 
@@ -96,7 +96,7 @@ class QuotientImage(NamedTuple):
         return out
 
 
-def quotient(ring: HyperRing, ideal: int, name: Optional[str] = None) -> QuotientImage:
+def quotient(ring: HyperRing, ideal: int) -> QuotientImage:
     """Quotient by the additive cosets of a hyperideal.
 
     Each coset cell is the set of classes its least representatives' cell
@@ -153,7 +153,7 @@ def quotient(ring: HyperRing, ideal: int, name: Optional[str] = None) -> Quotien
         hmul_q.append(qrow)
     params = ",".join(map(str, elements_of(ideal)))
     out = build_hyperring(
-        name or f"{ring.name}/{{{params}}}", add_q, hmul_q,
+        f"{ring.name}/{{{params}}}", add_q, hmul_q,
         provenance={"construction": "quotient", "source": ring.name,
                     "params": params},
     )
@@ -177,7 +177,7 @@ def product_subset_mask(n2: int, mask1: int, mask2: int) -> int:
     return out
 
 
-def direct_product(r1: HyperRing, r2: HyperRing, name: Optional[str] = None) -> HyperRing:
+def direct_product(r1: HyperRing, r2: HyperRing) -> HyperRing:
     """Componentwise sum and hyperproduct on the pair carrier.
 
     Subset products and sums of rectangles are rectangles, as in
@@ -191,7 +191,7 @@ def direct_product(r1: HyperRing, r2: HyperRing, name: Optional[str] = None) -> 
     hmul = [[product_subset_mask(n2, r1.hmul[a1][b1], r2.hmul[a2][b2])
              for b1, b2 in pairs] for a1, a2 in pairs]
     return build_hyperring(
-        name or f"{r1.name}x{r2.name}", add, hmul,
+        f"{r1.name}x{r2.name}", add, hmul,
         provenance={"construction": "product", "source": f"{r1.name},{r2.name}",
                     "params": f"{n1}x{n2}"},
     )
@@ -215,17 +215,16 @@ def product_factor_sizes(ring: HyperRing) -> Optional[tuple[int, int]]:
 # matrix structures
 
 
-def matrix_cap_exceeded(ring: HyperRing, n: int,
-                        cap: int = MATRIX_CARRIER_CAP) -> Optional[CapExceeded]:
+def matrix_cap_exceeded(ring: HyperRing, n: int) -> Optional[CapExceeded]:
     """What :func:`matrix_hyperring` raises when the ``|R|^(n*n)`` carrier
-    exceeds ``cap``, or None."""
+    exceeds ``MATRIX_CARRIER_CAP``, or None."""
     size = ring.size ** (n * n)
-    return CapExceeded("matrix carrier size", size, cap) if size > cap else None
+    if size > MATRIX_CARRIER_CAP:
+        return CapExceeded("matrix carrier size", size, MATRIX_CARRIER_CAP)
+    return None
 
 
-def matrix_hyperring(ring: HyperRing, n: int,
-                     cap: int = MATRIX_CARRIER_CAP,
-                     name: Optional[str] = None) -> HyperRing:
+def matrix_hyperring(ring: HyperRing, n: int) -> HyperRing:
     """The n-by-n matrix structure over the ring (n at most 2).
 
     Entry (i, k) of a product is the elementwise sum over j of the entry
@@ -237,7 +236,7 @@ def matrix_hyperring(ring: HyperRing, n: int,
         raise ValueError("matrix dimension must be 1 or 2")
     if ring.identity is None or not ring.scalar_identity:
         raise ValueError("matrix construction requires a scalar identity")
-    if (exceeded := matrix_cap_exceeded(ring, n, cap)) is not None:
+    if (exceeded := matrix_cap_exceeded(ring, n)) is not None:
         raise exceeded
     cells = n * n
     size = ring.size ** cells
@@ -273,9 +272,8 @@ def matrix_hyperring(ring: HyperRing, n: int,
             for combo in itertools.product(*entry_sets):
                 prod.add(encode(combo))
             hmul[i][j] = sorted(prod)
-    mname = name or f"M{n}({ring.name})"
     return validate_hyperring(
-        mname, add, hmul,
+        f"M{n}({ring.name})", add, hmul,
         require_commutative=False,
         provenance={"construction": "matrix", "source": ring.name,
                     "params": f"n={n}"},
@@ -490,8 +488,7 @@ class SubringImage(NamedTuple):
         return out
 
 
-def subhyperring_restrict(ring: HyperRing, subset: int,
-                          name: Optional[str] = None) -> SubringImage:
+def subhyperring_restrict(ring: HyperRing, subset: int) -> SubringImage:
     """Restrict the tables to a subset closed under subtraction and the
     hyperoperation; the inclusion is then a good homomorphism.
 
@@ -516,7 +513,7 @@ def subhyperring_restrict(ring: HyperRing, subset: int,
             for x in elems]
     params = ",".join(map(str, elems))
     out = build_hyperring(
-        name or f"{ring.name}|{{{params}}}", add, hmul,
+        f"{ring.name}|{{{params}}}", add, hmul,
         provenance={"construction": "subring", "source": ring.name,
                     "params": params},
     )

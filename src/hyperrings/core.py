@@ -303,16 +303,6 @@ def power_orbit(ring: HyperRing, x: int) -> list[int]:
     return orbit
 
 
-def power_of_element(ring: HyperRing, x: int, n: int) -> int:
-    """The subset ``x^n`` for ``n >= 1``; ``x^1 = {x}``."""
-    if n < 1:
-        raise ValueError("exponent must be >= 1")
-    m = singleton(x)
-    for _ in range(n - 1):
-        m = hprod(ring, m, singleton(x))
-    return m
-
-
 def is_nilpotent(ring: HyperRing, x: int) -> bool:
     """True iff ``x^n = {0}`` for some n (exact via the power orbit)."""
     return bool(ring.nilpotent & singleton(x))
@@ -336,30 +326,6 @@ def is_invertible(ring: HyperRing, x: int) -> bool:
         raise NoIdentity(f"{ring.name} has no identity element")
     ebit = singleton(ring.identity)
     return any(ring.hmul[x][y] & ebit for y in range(ring.size))
-
-
-class ElementFlags(NamedTuple):
-    zero_divisor: bool
-    nilpotent: bool
-    regular_vnr: bool
-    nzd: bool
-    invertible: Optional[bool]  # None when the ring has no identity
-    idempotent: bool  # weak reading: x in x o x
-    idempotent_strict: bool  # strict reading: x o x = {x}
-
-
-def element_predicates(ring: HyperRing, x: int) -> ElementFlags:
-    sq = ring.hmul[x][x]
-    bit = singleton(x)
-    return ElementFlags(
-        zero_divisor=bool(ring.zero_divisors & bit),
-        nilpotent=is_nilpotent(ring, x),
-        regular_vnr=bool(ring.vnr & bit),
-        nzd=bool(ring.nzd & bit),
-        invertible=is_invertible(ring, x) if ring.identity is not None else None,
-        idempotent=bool(sq & bit),
-        idempotent_strict=sq == bit,
-    )
 
 
 class RingFlags(NamedTuple):

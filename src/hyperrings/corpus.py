@@ -58,10 +58,10 @@ class CorpusResult:
         return [r.name for r in self.rings]
 
 
-def ordinary_ring(n: int, name: Optional[str] = None) -> HyperRing:
+def ordinary_ring(n: int) -> HyperRing:
     add = [[(a + b) % n for b in range(n)] for a in range(n)]
     hmul = [[[(a * b) % n] for b in range(n)] for a in range(n)]
-    return validate_hyperring(name or f"Z{n}", add, hmul)
+    return validate_hyperring(f"Z{n}", add, hmul)
 
 
 def reduced_a_set(n: int, a_set: tuple[int, ...]) -> tuple[int, ...]:
@@ -72,14 +72,12 @@ def reduced_a_set(n: int, a_set: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(vals))
 
 
-def zn_with_products(n: int, a_set: tuple[int, ...],
-                     name: Optional[str] = None) -> HyperRing:
+def zn_with_products(n: int, a_set: tuple[int, ...]) -> HyperRing:
     avals = reduced_a_set(n, a_set)
     add = [[(x + y) % n for y in range(n)] for x in range(n)]
     hmul = [[sorted({(x * a * y) % n for a in avals}) for y in range(n)]
             for x in range(n)]
-    default = f"Z{n}_A{'_'.join(map(str, avals))}"
-    return validate_hyperring(name or default, add, hmul)
+    return validate_hyperring(f"Z{n}_A{'_'.join(map(str, avals))}", add, hmul)
 
 
 def total_hyperop_ring(n: int, variant: str) -> HyperRing:
@@ -107,6 +105,9 @@ def total_hyperop_ring(n: int, variant: str) -> HyperRing:
 
 
 def generate_corpus(spec: CorpusSpec = CorpusSpec()) -> CorpusResult:
+    if spec.closure_depth not in (0, 1):
+        raise ValueError(f"closure depth must be 0 or 1, "
+                         f"not {spec.closure_depth}")
     result = CorpusResult()
     seen_tables: set[tuple] = set()
 
@@ -142,7 +143,7 @@ def generate_corpus(spec: CorpusSpec = CorpusSpec()) -> CorpusResult:
                 admit(lambda n=n, v=variant: total_hyperop_ring(n, v),
                       f"Z{n}_total_{variant}")
 
-    if spec.closure_depth >= 1:
+    if spec.closure_depth:
         base = list(result.rings)
         for ring in base:
             proper = [m for m in hyperideal_masks(ring)

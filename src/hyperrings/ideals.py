@@ -69,32 +69,26 @@ def generated_ideal_mask(ring: HyperRing, gens: int) -> int:
 
 
 class IdealProfile(NamedTuple):
-    """A hyperideal with its basic flags; ``repaired`` records whether an
-    arithmetic operation had to fall back to ideal closure."""
+    """A hyperideal with its basic flags."""
 
     ring: HyperRing
     members: int
     is_hyperideal: bool
     is_C: bool
     is_proper: bool
-    repaired: bool = False
 
     @property
     def elements(self) -> list[int]:
         return list(bits(self.members))
 
-    def radical(self) -> int:
-        return radical(self.ring, self.members)
 
-
-def profile(ring: HyperRing, members: int, *, repaired: bool = False) -> IdealProfile:
+def profile(ring: HyperRing, members: int) -> IdealProfile:
     return IdealProfile(
         ring=ring,
         members=members,
         is_hyperideal=is_hyperideal(ring, members),
         is_C=is_C_hyperideal(ring, members),
         is_proper=members != ring.carrier_mask,
-        repaired=repaired,
     )
 
 
@@ -176,12 +170,12 @@ def additive_closure(ring: HyperRing, mask: int) -> int:
         mask = grown
 
 
-def ideal_sum(ring: HyperRing, left: int, right: int) -> IdealProfile:
-    """Elementwise sum ``{i + j}``, repaired to its ideal closure if needed."""
+def ideal_sum(ring: HyperRing, left: int, right: int) -> int:
+    """Elementwise sum ``{i + j}``, closed to its generated ideal if needed."""
     raw = set_sum(ring, left, right)
     if is_hyperideal(ring, raw):
-        return profile(ring, raw)
-    return profile(ring, generated_ideal_mask(ring, raw), repaired=True)
+        return raw
+    return generated_ideal_mask(ring, raw)
 
 
 def set_product(ring: HyperRing, left: int, right: int) -> int:
@@ -189,23 +183,13 @@ def set_product(ring: HyperRing, left: int, right: int) -> int:
     return hprod(ring, left, right)
 
 
-def ideal_product_mask(ring: HyperRing, left: int, right: int) -> tuple[int, bool]:
-    """Additive closure of the set product, repaired by generation if needed;
-    the flag records the repair."""
+def ideal_product(ring: HyperRing, left: int, right: int) -> int:
+    """Additive closure of the set product, closed to its generated ideal
+    if needed."""
     raw = additive_closure(ring, hprod(ring, left, right))
     if is_hyperideal(ring, raw):
-        return raw, False
-    return generated_ideal_mask(ring, raw), True
-
-
-def ideal_product(ring: HyperRing, left: int, right: int) -> IdealProfile:
-    """:func:`ideal_product_mask` as a profile."""
-    members, repaired = ideal_product_mask(ring, left, right)
-    return profile(ring, members, repaired=repaired)
-
-
-def ideal_intersection(ring: HyperRing, left: int, right: int) -> IdealProfile:
-    return profile(ring, left & right)
+        return raw
+    return generated_ideal_mask(ring, raw)
 
 
 def colon(ring: HyperRing, ideal: int, against: int) -> int:

@@ -30,7 +30,8 @@ failure:
   which every hyperideal is a C-hyperideal; rings violating the C part are
   skipped by default (``required``) or tested anyway (``waived``).
 
-The default reading of each axis is listed first in ``READING_AXES``.
+The default reading of each axis is its ``Reading`` field default, and
+``READING_AXES`` lists it first.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ from .ideals import (
     colon,
     generated_ideal_mask,
     hyperideal_masks,
-    ideal_product_mask,
+    ideal_product,
     is_C_hyperideal,
     is_hyperideal,
     principal_masks,
@@ -112,10 +113,6 @@ READING_AXES: dict[str, tuple[str, ...]] = {
     "mult_subset": ("regular", "any"),
     "standing": ("required", "waived"),
 }
-
-DEFAULT_READING: dict[str, str] = {axis: options[0]
-                                   for axis, options in READING_AXES.items()}
-
 
 class Reading(NamedTuple):
     regular: str = "nzd"
@@ -173,7 +170,7 @@ def reading_from_flags(flags: dict[str, str]) -> Reading:
             raise ValueError(f"unknown reading axis {axis!r}")
         if value not in READING_AXES[axis]:
             raise ValueError(f"axis {axis!r} has no reading {value!r}")
-    return Reading(**(DEFAULT_READING | flags))
+    return Reading(**flags)
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +288,12 @@ class RingContext:
     def prod(self, rd: Reading, left: int, right: int) -> int:
         """``left o right`` under the ``product`` reading, which is read
         only when the raw set product is not a hyperideal: otherwise
-        ``ideal_product_mask`` returns that same set."""
+        ``ideal_product`` returns that same set."""
         def compute() -> tuple[int, int]:
             raw = set_product(self.ring, left, right)
             if is_hyperideal(self.ring, raw):
                 return raw, raw
-            return raw, ideal_product_mask(self.ring, left, right)[0]
+            return raw, ideal_product(self.ring, left, right)
         raw, closed = self._memo(("prod", left, right), compute)
         if raw == closed or rd.product == "raw":
             return raw

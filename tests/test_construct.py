@@ -204,7 +204,7 @@ class TestDirectProduct:
         assert p.hmul[i10][i01] == singleton(0)
 
     def test_product_with_zero_ring_keeps_tables(self, z4):
-        one = ordinary_ring(1, name="zero-ring")
+        one = ordinary_ring(1)
         p = direct_product(z4, one)
         assert p.add == z4.add
         assert p.hmul == z4.hmul
@@ -246,11 +246,11 @@ class TestMatrix:
 
     def test_cap_enforced(self, z6):
         with pytest.raises(CapExceeded):
-            matrix_hyperring(z6, 2, cap=16)
+            matrix_hyperring(z6, 2)
 
     def test_requires_scalar_identity(self, z13a):
         with pytest.raises(ValueError):
-            matrix_hyperring(z13a, 2, cap=10 ** 6)
+            matrix_hyperring(z13a, 2)
 
 
 class TestGoodHomomorphisms:
@@ -463,7 +463,7 @@ class TestFundamentalRing:
         assert all(c.bit_count() == 1 for c in fund.classes)
 
     def test_zero_ring_collapses_to_a_point(self):
-        fund = fundamental_ring(ordinary_ring(1, name="zero"))
+        fund = fundamental_ring(ordinary_ring(1))
         assert fund.ring.size == 1
 
     def test_z6_a_set_collapses_to_parity(self, z6a):

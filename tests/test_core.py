@@ -11,14 +11,14 @@ from hyperrings.core import (
     EmptyHyperproduct,
     NoIdentity,
     classify_ring,
-    element_predicates,
     hprod,
     is_invertible,
-    power_of_element,
+    is_nilpotent,
     power_orbit,
     validate_hyperring,
 )
 from hyperrings.corpus import ordinary_ring, zn_with_products
+from hyperrings.theorems import Reading, RingContext, _idempotents
 
 
 def ordinary_tables(n):
@@ -101,16 +101,17 @@ class TestHprod:
 
 
 class TestPowers:
+    """``power_orbit`` lists ``x^1, x^2, ...`` up to the first repeat."""
+
     def test_zero_powers(self, z4):
-        for n in range(1, 5):
-            assert power_of_element(z4, 0, n) == mask_of([0])
+        assert power_orbit(z4, 0) == [mask_of([0])]
 
     def test_square_of_two_mod_four(self, z4):
-        assert power_of_element(z4, 2, 2) == mask_of([0])
+        assert power_orbit(z4, 2) == [mask_of([2]), mask_of([0])]
 
     def test_first_power_is_singleton(self, z13a):
         for x in range(z13a.size):
-            assert power_of_element(z13a, x, 1) == mask_of([x])
+            assert power_orbit(z13a, x)[0] == mask_of([x])
 
     def test_orbit_is_exact(self, z6a):
         for x in range(z6a.size):
@@ -118,41 +119,36 @@ class TestPowers:
             assert orbit[0] == mask_of([x])
             assert len(set(orbit)) == len(orbit)
 
-    def test_rejects_nonpositive_exponent(self, z4):
-        with pytest.raises(ValueError):
-            power_of_element(z4, 1, 0)
-
 
 class TestElementPredicates:
     def test_two_mod_four(self, z4):
-        flags = element_predicates(z4, 2)
-        assert flags.nilpotent
-        assert flags.zero_divisor
-        assert not flags.nzd
-        assert not flags.invertible
+        assert is_nilpotent(z4, 2)
+        assert z4.zero_divisors & mask_of([2])
+        assert not z4.nzd & mask_of([2])
+        assert not is_invertible(z4, 2)
 
     def test_zero_is_a_zero_divisor_in_ordinary_rings(self, z4):
         # 0 o y = {0} for nonzero y, which the definition counts
-        assert element_predicates(z4, 0).zero_divisor
+        assert z4.zero_divisors & mask_of([0])
 
     def test_scalar_identity_flags(self, z4):
-        flags = element_predicates(z4, 1)
-        assert flags.invertible
-        assert flags.nzd
-        assert flags.idempotent and flags.idempotent_strict
+        assert is_invertible(z4, 1)
+        assert z4.nzd & mask_of([1])
+        assert z4.hmul[1][1] == mask_of([1])
 
     def test_invertibility_needs_identity(self):
         ring = zn_with_products(6, (2, 3))
         assert ring.identity is None
-        assert element_predicates(ring, 1).invertible is None
+        assert classify_ring(ring).invertible_ring is None
         with pytest.raises(NoIdentity):
             is_invertible(ring, 1)
 
     def test_weak_vs_strict_idempotent(self, z6a):
-        # 1 o 1 = {1, 5}: weakly idempotent but not strictly
-        flags = element_predicates(z6a, 1)
-        assert flags.idempotent
-        assert not flags.idempotent_strict
+        # 1 o 1 = {1, 5}: weakly idempotent but not strictly; the registry's
+        # ``idempotent`` reading decides which one counts
+        ctx = RingContext(z6a)
+        assert 1 in _idempotents(ctx, Reading(idempotent="weak"))
+        assert 1 not in _idempotents(ctx, Reading(idempotent="strict"))
 
 
 class TestRingClassification:

@@ -223,6 +223,14 @@ class TestCli:
         assert (out / "manifest.json").exists()
         assert (out / "Z4.json").exists()
 
+    @pytest.mark.parametrize("depth", ["2", "-1"])
+    def test_generate_refuses_an_unbuilt_depth(self, tmp_path, capsys, depth):
+        out = tmp_path / "corpus"
+        assert main(["generate", "--out", str(out), "--depth", depth]) == 2
+        err = capsys.readouterr().err
+        assert "closure depth must be 0 or 1" in err and f"not {depth}" in err
+        assert not out.exists()
+
     def test_construct_quotient(self, tmp_path, z4, capsys):
         path = self.write_ring(tmp_path, z4)
         assert main(["construct", "quotient", str(path), "--ideal", "0,2"]) == 0

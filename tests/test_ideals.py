@@ -18,7 +18,6 @@ from hyperrings.ideals import (
     enumerate_hyperideals,
     generated_ideal_mask,
     hyperideal_masks,
-    ideal_intersection,
     ideal_product,
     ideal_sum,
     is_C_hyperideal,
@@ -159,26 +158,21 @@ class TestCProperty:
 class TestArithmetic:
     def test_sum_with_zero_is_identity(self, z6):
         for m in hyperideal_masks(z6):
-            assert ideal_sum(z6, m, mask_of([0])).members == m
+            assert ideal_sum(z6, m, mask_of([0])) == m
 
     def test_product_z6(self, z6):
         evens = mask_of([0, 2, 4])
         threes = mask_of([0, 3])
         assert set_product(z6, evens, threes) == mask_of([0])
-        assert ideal_product(z6, evens, threes).members == mask_of([0])
+        assert ideal_product(z6, evens, threes) == mask_of([0])
 
     def test_intersection_exact(self, z6):
+        # the meet of two hyperideals is one, with nothing to close
         masks = hyperideal_masks(z6)
         for a in masks:
             for b in masks:
-                prof = ideal_intersection(z6, a, b)
-                assert prof.members == a & b
-                assert prof.is_hyperideal
-                assert not prof.repaired
-
-    def test_intersection_with_full_ring(self, z4):
-        for m in hyperideal_masks(z4):
-            assert ideal_intersection(z4, m, z4.carrier_mask).members == m
+                assert a & b in masks
+                assert is_hyperideal(z6, a & b)
 
     def test_additive_closure(self, z6):
         assert additive_closure(z6, mask_of([0, 2])) == mask_of([0, 2, 4])

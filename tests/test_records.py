@@ -14,11 +14,12 @@ from hyperrings.construct import (
     quotient,
     subhyperring_restrict,
 )
-from hyperrings.core import classify_ring, element_predicates
+from hyperrings.core import classify_ring
 from hyperrings.corpus import CorpusResult, CorpusSpec, ordinary_ring
 from hyperrings.ideals import profile
 from hyperrings.theorems import (
     HOLDS,
+    READING_AXES,
     REGISTRY_BY_ID,
     Reading,
     SuiteReport,
@@ -31,10 +32,6 @@ HALF = mask_of([0, 2])
 
 # one instance of each record type, with the repr its dataclass printed
 RECORDS = {
-    "ElementFlags": (
-        element_predicates(Z4, 2),
-        "ElementFlags(zero_divisor=True, nilpotent=True, regular_vnr=False, "
-        "nzd=False, invertible=False, idempotent=False, idempotent_strict=False)"),
     "RingFlags": (
         classify_ring(Z4),
         "RingFlags(integral_hyperdomain=False, reduced=False, regular_ring=False, "
@@ -47,7 +44,7 @@ RECORDS = {
     "IdealProfile": (
         profile(Z4, HALF),
         "IdealProfile(ring=HyperRing('Z4', size=4), members=5, is_hyperideal=True, "
-        "is_C=True, is_proper=True, repaired=False)"),
+        "is_C=True, is_proper=True)"),
     "QuotientImage": (
         quotient(Z4, HALF),
         "QuotientImage(ring=HyperRing('Z4/{0,2}', size=2), projection=(0, 1, 0, 1), "
@@ -132,6 +129,13 @@ class TestReading:
     def test_with_flags_rejects_an_unknown_axis(self):
         with pytest.raises(TypeError):
             Reading().with_flags(standings="waived")
+
+    def test_axes_list_the_field_defaults_first(self):
+        """``Reading``'s field defaults are the default reading; the axis
+        table names the same axes, in field order, each default first."""
+        assert tuple(READING_AXES) == Reading._fields
+        assert Reading() == Reading(**{axis: options[0]
+                                       for axis, options in READING_AXES.items()})
 
 
 class TestMutableResults:
